@@ -37,6 +37,7 @@ from .multicopy import (
     multicopy_necessary,
     pmax_mes,
     pmax_scan,
+    power_sum_obstruction,
     strong_incomparability_witness,
 )
 from .spectrum import (
@@ -98,6 +99,7 @@ __all__ = [
     "nielsen_deterministic",
     "pmax_mes",
     "pmax_scan",
+    "power_sum_obstruction",
     "read_state",
     "search_catalyst",
     "strong_incomparability_witness",

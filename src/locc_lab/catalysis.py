@@ -5,19 +5,21 @@ impossible deterministic conversion possible and is returned intact:
 source (x) catalyst majorized by target (x) catalyst even though the bare
 pair is incomparable.  Verification is a single majorization check; the
 search enumerates candidate spectra on an exact rational grid, so every
-hit is a certificate and "none" is a statement about the grid resolution,
-never a nonexistence proof.
+hit is a certificate.  Two exact necessary conditions run first, and when
+one fails no catalyst exists at all; otherwise "none" is a statement about
+the grid resolution, never a nonexistence proof.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 from .majorization import majorized_by
-from .multicopy import multicopy_necessary
-from .spectrum import SchmidtSpectrum, make_spectrum, tensor_power, tensor_product
+from .multicopy import multicopy_necessary, power_sum_obstruction
+from .spectrum import SchmidtSpectrum, _trusted_spectrum, tensor_power, tensor_product
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,11 @@ def grid_candidates(cfg: CatalystSearchConfig) -> Iterator[SchmidtSpectrum]:
     q = cfg.grid_denominator
     for rank in range(cfg.min_dim, cfg.max_dim + 1):
         for parts in _descending_compositions(q, rank):
-            yield make_spectrum(Fraction(p, q) for p in parts)
+            runs = tuple(
+                (Fraction(p, q), len(list(group)))
+                for p, group in itertools.groupby(parts)
+            )
+            yield _trusted_spectrum(runs, rank)
 
 
 def search_catalyst(
@@ -108,15 +114,19 @@ def search_catalyst(
 ) -> SchmidtSpectrum | None:
     """First grid candidate that catalyzes the copies-fold pair, or None.
 
-    The extreme-coefficient necessary condition also binds catalyzed
-    conversions, so a pair failing it is rejected without touching the
-    grid.  (Checking it on the single-copy pair is equivalent to checking
-    the k-copy pair: extremes of a tensor power are powers of extremes.)
-    A None result after enumeration means nothing was found at this grid
-    resolution - finer grids or larger ranks may still succeed.
+    The extreme-coefficient test and the power-sum test are necessary
+    conditions for catalyzed conversions too, so a pair failing either is
+    rejected without touching the grid, and that None is exact: no
+    catalyst of any rank exists.  Checking them on the single-copy pair
+    is equivalent to checking the k-copy pair, because extremes and power
+    sums of a tensor power are powers of those of the base.  A None after
+    enumeration means nothing was found at this grid resolution - finer
+    grids or larger ranks may still succeed.
     """
     cfg = CatalystSearchConfig() if cfg is None else cfg
     if not multicopy_necessary(source, target):
+        return None
+    if power_sum_obstruction(source, target) is not None:
         return None
     powered_source = tensor_power(source, cfg.copies, mem_cap=mem_cap)
     powered_target = tensor_power(target, cfg.copies, mem_cap=mem_cap)

@@ -9,6 +9,7 @@ exceeded, 4 output I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import sys
 
@@ -20,6 +21,7 @@ from .multicopy import (
     classify_pair,
     multicopy_necessary,
     pmax_scan,
+    power_sum_obstruction,
 )
 from .render import format_decimal, format_decimal_fixed, format_rational
 from .spectrum import (
@@ -107,10 +109,16 @@ def _cmd_scan(args) -> int:
         for row in scan.rows
     ]
     widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(header)]
-    for line in [header, *rows]:
-        print("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip())
-    if args.csv is not None:
-        with open(args.csv, "w", encoding="utf-8", newline="") as handle:
+    # Open the CSV before printing, so an unwritable path prints nothing.
+    sink = (
+        contextlib.nullcontext()
+        if args.csv is None
+        else open(args.csv, "w", encoding="utf-8", newline="")
+    )
+    with sink as handle:
+        for line in [header, *rows]:
+            print("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip())
+        if handle is not None:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(header)
             writer.writerows(rows)
@@ -140,6 +148,8 @@ def _cmd_catalyst(args) -> int:
         print("catalyst: " + " ".join(format_rational(v) for v in found.expand()))
     elif not multicopy_necessary(source, target):
         print("none (extreme-coefficient test rules out any catalyst)")
+    elif (alpha := power_sum_obstruction(source, target)) is not None:
+        print(f"none (power-sum test at alpha={alpha} rules out any catalyst)")
     else:
         print(f"none at resolution 1/{args.grid_q} (dims {lo}..{hi})")
     return EXIT_OK

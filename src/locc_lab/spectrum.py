@@ -81,7 +81,10 @@ def default_memory_cap() -> int:
     raw = os.environ.get(MEMORY_CAP_ENV_VAR)
     if raw is None:
         return DEFAULT_MEMORY_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
     if cap < 1:
         raise ValueError(f"{MEMORY_CAP_ENV_VAR} must be a positive integer, got {raw!r}")
     return cap
@@ -112,8 +115,11 @@ class SchmidtSpectrum:
     Schmidt rank after zero-stripping.  The values weighted by their
     multiplicities sum to exactly 1.
 
-    Instances are immutable and safe to share; build them with
-    `make_spectrum` rather than calling the constructor directly.
+    Instances are immutable and safe to share.  Calling the constructor
+    directly validates every invariant above; `make_spectrum` is the usual
+    way in.  The package's own builders (`make_spectrum` after its checks,
+    tensor products and powers, `maximally_entangled`, the catalyst grid)
+    produce the invariants by construction and skip this validation.
     """
 
     entries: tuple[tuple[Fraction, int], ...]
@@ -157,10 +163,21 @@ class SchmidtSpectrum:
         return f"SchmidtSpectrum(dim={self.dim}: {runs})"
 
 
+def _trusted_spectrum(
+    entries: tuple[tuple[Fraction, int], ...], dim: int
+) -> SchmidtSpectrum:
+    """Spectrum whose invariants the caller guarantees; skips validation."""
+    spectrum = object.__new__(SchmidtSpectrum)
+    object.__setattr__(spectrum, "entries", entries)
+    object.__setattr__(spectrum, "dim", dim)
+    return spectrum
+
+
 def _from_value_mults(mapping: dict[Fraction, int]) -> SchmidtSpectrum:
-    """Build a spectrum from a value -> multiplicity accumulator."""
+    """Build a spectrum from a value -> multiplicity accumulator whose
+    positive values, weighted by their multiplicities, sum to exactly 1."""
     entries = tuple(sorted(mapping.items(), key=lambda item: item[0], reverse=True))
-    return SchmidtSpectrum(entries, sum(mapping.values()))
+    return _trusted_spectrum(entries, sum(mapping.values()))
 
 
 def make_spectrum(probs: Iterable[CoefficientLike]) -> SchmidtSpectrum:
@@ -264,7 +281,7 @@ def maximally_entangled(d: int) -> SchmidtSpectrum:
     """Uniform spectrum (1/d, ..., 1/d) of rank d."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    return SchmidtSpectrum(((Fraction(1, d), d),), d)
+    return _trusted_spectrum(((Fraction(1, d), d),), d)
 
 
 def entropy(a: SchmidtSpectrum) -> float:

@@ -134,9 +134,10 @@ class TestScan:
         assert first.read_bytes() == second.read_bytes()
 
     def test_unwritable_csv_exits_4(self, capsys, tmp_path):
-        code, _, err = run(capsys, "scan", "eq13", "eq12",
-                           "--csv", str(tmp_path / "missing-dir" / "x.csv"))
+        code, out, err = run(capsys, "scan", "eq13", "eq12",
+                             "--csv", str(tmp_path / "missing-dir" / "x.csv"))
         assert code == 4
+        assert out == ""
         assert err.startswith("error:")
 
 
@@ -164,6 +165,15 @@ class TestCatalyst:
         assert code == 0
         assert "none" in out
         assert "extreme-coefficient" in out
+
+    def test_find_power_sum_obstruction(self, capsys, tmp_path):
+        path = tmp_path / "rho.txt"
+        path.write_text(".4\n.3\n.3\n")
+        code, out, _ = run(capsys, "catalyst", "eq8", str(path), "--find")
+        assert code == 0
+        assert out.strip() == (
+            "none (power-sum test at alpha=3 rules out any catalyst)"
+        )
 
     def test_find_none_at_resolution(self, capsys):
         code, out, _ = run(capsys, "catalyst", "eq2", "eq3", "--find",

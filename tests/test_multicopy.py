@@ -19,6 +19,7 @@ from locc_lab import (
     multicopy_necessary,
     pmax_mes,
     pmax_scan,
+    power_sum_obstruction,
     strong_incomparability_witness,
 )
 from conftest import random_spectrum
@@ -96,6 +97,7 @@ class TestFindMinDeterministicK:
             if n is not None:
                 found += 1
                 assert multicopy_necessary(a, b)
+                assert power_sum_obstruction(a, b) is None
         assert found > 20
 
     def test_never_both_directions(self):

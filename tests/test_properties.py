@@ -2,16 +2,21 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from locc_lab import (
+    CatalystSearchConfig,
+    SchmidtSpectrum,
+    catalyzes,
     entropy,
+    grid_candidates,
     majorized_by,
     majorized_by_dense,
     make_spectrum,
     maximally_entangled,
     nielsen_deterministic,
+    power_sum_obstruction,
     tensor_power,
     tensor_power_dense,
     tensor_product,
@@ -104,3 +109,23 @@ def test_collective_pmax_at_least_per_copy_product(a, b, k):
 @given(spectra(max_dim=4), spectra(max_dim=4))
 def test_entropy_additive(a, b):
     assert abs(entropy(tensor_product(a, b)) - entropy(a) - entropy(b)) < 1e-12
+
+
+@settings(max_examples=50)
+@given(spectra(max_dim=4), spectra(max_dim=4), st.integers(3, 12))
+def test_power_sum_obstruction_is_sound(x, y, q):
+    assume(power_sum_obstruction(x, y) is not None)
+    cfg = CatalystSearchConfig(min_dim=2, max_dim=3, grid_denominator=q)
+    assert not any(catalyzes(x, y, c) for c in grid_candidates(cfg))
+    for k in range(1, 4):
+        assert not majorized_by_dense(tensor_power_dense(x, k), tensor_power_dense(y, k))
+
+
+@settings(max_examples=50)
+@given(spectra(max_dim=4), spectra(max_dim=4), st.integers(4, 12))
+def test_trusted_builders_pass_validation(a, b, q):
+    # internal builders skip the constructor's checks; run them here
+    built = [tensor_product(a, b), tensor_power(a, 3)]
+    built += grid_candidates(CatalystSearchConfig(min_dim=2, max_dim=4, grid_denominator=q))
+    for s in built:
+        assert SchmidtSpectrum(s.entries, s.dim) == s

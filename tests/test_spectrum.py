@@ -142,6 +142,11 @@ class TestTensorPower:
         with pytest.raises(ValueError):
             default_memory_cap()
 
+    def test_memory_cap_env_not_an_integer(self, monkeypatch):
+        monkeypatch.setenv("LOCC_LAB_MEM_CAP", "abc")
+        with pytest.raises(ValueError, match="LOCC_LAB_MEM_CAP"):
+            default_memory_cap()
+
 
 class TestDenseOracle:
     def test_matches_compressed_on_catalog_state(self, cat):
