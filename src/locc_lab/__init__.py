@@ -19,10 +19,7 @@ from .majorization import (
     Comparability,
     compare,
     majorized_by,
-    majorized_by_dense,
-    nielsen_deterministic,
     vidal_pmax,
-    vidal_pmax_dense,
 )
 from .multicopy import (
     BaselineNotDeterministic,
@@ -43,7 +40,6 @@ from .multicopy import (
 from .spectrum import (
     MemoryCapExceeded,
     NegativeEntry,
-    OracleCapExceeded,
     Rational,
     SchmidtSpectrum,
     SumNotOne,
@@ -53,7 +49,6 @@ from .spectrum import (
     make_spectrum,
     maximally_entangled,
     tensor_power,
-    tensor_power_dense,
     tensor_product,
 )
 from .statefile import StateFile, StateFileError, load_state, read_state
@@ -68,7 +63,6 @@ __all__ = [
     "ExtremalWitness",
     "MemoryCapExceeded",
     "NegativeEntry",
-    "OracleCapExceeded",
     "PairClassification",
     "PairKind",
     "PmaxScan",
@@ -91,12 +85,10 @@ __all__ = [
     "load_fixture",
     "load_state",
     "majorized_by",
-    "majorized_by_dense",
     "make_spectrum",
     "maximally_entangled",
     "multicopy_elocc_check",
     "multicopy_necessary",
-    "nielsen_deterministic",
     "pmax_mes",
     "pmax_scan",
     "power_sum_obstruction",
@@ -104,8 +96,6 @@ __all__ = [
     "search_catalyst",
     "strong_incomparability_witness",
     "tensor_power",
-    "tensor_power_dense",
     "tensor_product",
     "vidal_pmax",
-    "vidal_pmax_dense",
 ]

@@ -60,15 +60,13 @@ def multicopy_elocc_check(
     target: SchmidtSpectrum,
     catalyst: SchmidtSpectrum,
     k: int,
-    *,
-    mem_cap: int | None = None,
 ) -> bool:
     """Does the catalyst make the k-copy conversion deterministic?"""
     if k < 1:
         raise ValueError(f"copy count must be >= 1, got {k}")
     return catalyzes(
-        tensor_power(source, k, mem_cap=mem_cap),
-        tensor_power(target, k, mem_cap=mem_cap),
+        tensor_power(source, k),
+        tensor_power(target, k),
         catalyst,
     )
 
@@ -109,8 +107,6 @@ def search_catalyst(
     source: SchmidtSpectrum,
     target: SchmidtSpectrum,
     cfg: CatalystSearchConfig | None = None,
-    *,
-    mem_cap: int | None = None,
 ) -> SchmidtSpectrum | None:
     """First grid candidate that catalyzes the copies-fold pair, or None.
 
@@ -128,8 +124,8 @@ def search_catalyst(
         return None
     if power_sum_obstruction(source, target) is not None:
         return None
-    powered_source = tensor_power(source, cfg.copies, mem_cap=mem_cap)
-    powered_target = tensor_power(target, cfg.copies, mem_cap=mem_cap)
+    powered_source = tensor_power(source, cfg.copies)
+    powered_target = tensor_power(target, cfg.copies)
     for candidate in grid_candidates(cfg):
         if catalyzes(powered_source, powered_target, candidate):
             return candidate

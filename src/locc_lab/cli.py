@@ -13,7 +13,7 @@ import contextlib
 import csv
 import sys
 
-from .catalysis import CatalystSearchConfig, search_catalyst, catalyzes
+from .catalysis import CatalystSearchConfig, multicopy_elocc_check, search_catalyst
 from .majorization import Comparability, compare, vidal_pmax
 from .multicopy import (
     ExtremalWitness,
@@ -24,12 +24,7 @@ from .multicopy import (
     power_sum_obstruction,
 )
 from .render import format_decimal, format_decimal_fixed, format_rational
-from .spectrum import (
-    MemoryCapExceeded,
-    OracleCapExceeded,
-    entropy,
-    tensor_power,
-)
+from .spectrum import MemoryCapExceeded, entropy
 from .statefile import StateFileError, load_state
 
 EXIT_OK = 0
@@ -132,11 +127,7 @@ def _cmd_catalyst(args) -> int:
         candidate = load_state(
             args.check, amplitudes=args.amplitudes, normalize=args.normalize
         )
-        ok = catalyzes(
-            tensor_power(source, args.copies),
-            tensor_power(target, args.copies),
-            candidate,
-        )
+        ok = multicopy_elocc_check(source, target, candidate, args.copies)
         print("true" if ok else "false")
         return EXIT_OK
     lo, hi = args.dims
@@ -234,7 +225,7 @@ def main(argv: list[str] | None = None) -> int:
     except StateFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (MemoryCapExceeded, OracleCapExceeded) as exc:
+    except MemoryCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except OSError as exc:

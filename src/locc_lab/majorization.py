@@ -6,21 +6,22 @@ spectra (Nielsen's criterion); when that fails, the optimal probability of
 a conclusive (exact, probabilistic) conversion is Vidal's minimum of
 tail-sum ratios.
 
-Both checks are evaluated only at *breakpoints* - prefix positions where
-either compressed spectrum's active distinct value changes.  Between
-breakpoints the prefix-sum difference is affine in the prefix length and a
-ratio of two affine tails is monotone, so the extrema live at the segment
-endpoints.  This keeps the cost proportional to the number of distinct
-values rather than the full (possibly exponential) dimension.  The
-dense `*_dense` twins exist so tests can cross-validate the breakpoint
-shortcut against a full per-prefix scan.
+Both checks read the prefix sums of the two spectra from one sweep that
+walks their run lists side by side and stops only at *breakpoints* -
+prefix positions where either compressed spectrum's active distinct value
+changes.  Between breakpoints the prefix-sum difference is affine in the
+prefix length and a ratio of two affine tails is monotone, so the extrema
+live at the segment endpoints.  This keeps the cost proportional to the
+number of distinct values rather than the full (possibly exponential)
+dimension.  The tests cross-validate the sweep exactly against dense
+per-prefix scans.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from enum import Enum
 from fractions import Fraction
+from typing import Iterator
 
 from .spectrum import SchmidtSpectrum
 
@@ -34,33 +35,31 @@ class Comparability(Enum):
     INCOMPARABLE = "incomparable"
 
 
-class _PrefixSums:
-    """Exact prefix sums of a compressed spectrum at arbitrary positions."""
-
-    def __init__(self, s: SchmidtSpectrum):
-        self.boundaries: list[int] = []  # cumulative counts per run
-        self.sums: list[Fraction] = []  # prefix sum at each boundary
-        self.values: list[Fraction] = []
-        count = 0
-        total = Fraction(0)
-        for value, mult in s.entries:
-            count += mult
-            total += value * mult
-            self.boundaries.append(count)
-            self.sums.append(total)
-            self.values.append(value)
-        self.dim = count
-
-    def at(self, n: int) -> Fraction:
-        """Sum of the n largest coefficients (zero-padded past dim)."""
-        if n <= 0:
-            return Fraction(0)
-        if n >= self.dim:
-            return Fraction(1)
-        run = bisect_left(self.boundaries, n)
-        start = self.boundaries[run - 1] if run else 0
-        base = self.sums[run - 1] if run else Fraction(0)
-        return base + (n - start) * self.values[run]
+def _prefix_sums(
+    x: SchmidtSpectrum, y: SchmidtSpectrum, stop: int
+) -> Iterator[tuple[Fraction, Fraction]]:
+    """(Sx(n), Sy(n)) at n = 0, at every run boundary of x or y below stop,
+    and at stop, in increasing n; S(n) is the sum of the n largest
+    coefficients, with a spectrum zero-padded past its rank."""
+    runs_x, runs_y = iter(x.entries), iter(y.entries)
+    padding = (Fraction(0), stop)
+    vx, left_x = next(runs_x)
+    vy, left_y = next(runs_y)
+    sx = sy = Fraction(0)
+    n = 0
+    yield sx, sy
+    while n < stop:
+        step = min(left_x, left_y, stop - n)
+        n += step
+        sx += vx * step
+        sy += vy * step
+        yield sx, sy
+        left_x -= step
+        left_y -= step
+        if not left_x:
+            vx, left_x = next(runs_x, padding)
+        if not left_y:
+            vy, left_y = next(runs_y, padding)
 
 
 def majorized_by(x: SchmidtSpectrum, y: SchmidtSpectrum) -> bool:
@@ -71,37 +70,7 @@ def majorized_by(x: SchmidtSpectrum, y: SchmidtSpectrum) -> bool:
     linear in the prefix length, so checking both endpoints of every
     linear segment decides all intermediate positions too.
     """
-    px = _PrefixSums(x)
-    py = _PrefixSums(y)
-    top = max(px.dim, py.dim)
-    points = sorted(set(px.boundaries) | set(py.boundaries) | {top})
-    return all(px.at(n) <= py.at(n) for n in points)
-
-
-def majorized_by_dense(x: SchmidtSpectrum, y: SchmidtSpectrum) -> bool:
-    """Full per-prefix majorization scan (test oracle for majorized_by)."""
-    xs = list(x.expand())
-    ys = list(y.expand())
-    top = max(len(xs), len(ys))
-    xs += [Fraction(0)] * (top - len(xs))
-    ys += [Fraction(0)] * (top - len(ys))
-    sum_x = Fraction(0)
-    sum_y = Fraction(0)
-    for vx, vy in zip(xs, ys):
-        sum_x += vx
-        sum_y += vy
-        if sum_x > sum_y:
-            return False
-    return True
-
-
-def nielsen_deterministic(source: SchmidtSpectrum, target: SchmidtSpectrum) -> bool:
-    """Can the source convert to the target with probability one?
-
-    Nielsen's criterion: exactly when the source spectrum is majorized by
-    the target spectrum.
-    """
-    return majorized_by(source, target)
+    return all(sx <= sy for sx, sy in _prefix_sums(x, y, max(x.dim, y.dim)))
 
 
 def vidal_pmax(source: SchmidtSpectrum, target: SchmidtSpectrum) -> Fraction:
@@ -121,31 +90,10 @@ def vidal_pmax(source: SchmidtSpectrum, target: SchmidtSpectrum) -> Fraction:
     """
     if source.dim < target.dim:
         return Fraction(0)
-    ps = _PrefixSums(source)
-    pt = _PrefixSums(target)
-    last = target.dim - 1  # largest prefix length with a positive target tail
-    points = {0, last}
-    points.update(b for b in ps.boundaries if b <= last)
-    points.update(b for b in pt.boundaries if b <= last)
-    return min((1 - ps.at(n)) / (1 - pt.at(n)) for n in points)
-
-
-def vidal_pmax_dense(source: SchmidtSpectrum, target: SchmidtSpectrum) -> Fraction:
-    """Vidal's minimum evaluated at every prefix (test oracle)."""
-    if source.dim < target.dim:
-        return Fraction(0)
-    src = source.expand()
-    tgt = target.expand()
-    best = None
-    tail_s = Fraction(1)
-    tail_t = Fraction(1)
-    for l in range(1, len(tgt) + 1):
-        ratio = tail_s / tail_t
-        if best is None or ratio < best:
-            best = ratio
-        tail_s -= src[l - 1]
-        tail_t -= tgt[l - 1]
-    return best
+    # target.dim - 1 is the largest prefix length with a positive target tail
+    return min(
+        (1 - ss) / (1 - st) for ss, st in _prefix_sums(source, target, target.dim - 1)
+    )
 
 
 def compare(a: SchmidtSpectrum, b: SchmidtSpectrum) -> Comparability:

@@ -12,13 +12,12 @@ persists for all larger counts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .majorization import Comparability, compare, majorized_by, vidal_pmax
-from .spectrum import SchmidtSpectrum, tensor_power
+from .spectrum import SchmidtSpectrum, _integer_runs, tensor_power, tensor_powers
 
 #: Exponents tried by `power_sum_obstruction`.  On the 78 grid misses of six
 #: seeded catalyst-benchmark passes, 2..3 certify 32, 2..8 certify 36, and
@@ -119,13 +118,6 @@ def multicopy_necessary(source: SchmidtSpectrum, target: SchmidtSpectrum) -> boo
     return a1 <= b1 and ad >= bd
 
 
-def _integer_runs(s: SchmidtSpectrum) -> tuple[int, list[tuple[int, int]]]:
-    """(D, [(n, mult), ...]) with every value of s equal to n / D."""
-    denominator = math.lcm(*(v.denominator for v, _ in s.entries))
-    return denominator, [(v.numerator * (denominator // v.denominator), m)
-                         for v, m in s.entries]
-
-
 def power_sum_obstruction(
     source: SchmidtSpectrum, target: SchmidtSpectrum
 ) -> int | None:
@@ -173,15 +165,15 @@ def find_min_deterministic_k(
     source: SchmidtSpectrum,
     target: SchmidtSpectrum,
     k_max: int,
-    *,
-    mem_cap: int | None = None,
 ) -> int | None:
     """Smallest n <= k_max with n copies deterministically convertible.
 
     Short-circuits to None when the extreme-coefficient test or the
     power-sum test already rules the direction out at every copy count;
     otherwise checks majorization of the n-fold powers for n = 1, 2, ...
-    and returns the first hit, or None if the budget is exhausted.
+    and returns the first hit, or None if the budget is exhausted.  Powers
+    are built one step at a time, so a hit below the first copy count over
+    the memory cap is returned without reaching that count.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -189,9 +181,11 @@ def find_min_deterministic_k(
         return None
     if power_sum_obstruction(source, target) is not None:
         return None
-    for n in range(1, k_max + 1):
-        powered_source = tensor_power(source, n, mem_cap=mem_cap)
-        powered_target = tensor_power(target, n, mem_cap=mem_cap)
+    # The range comes first so that zip stops before asking either
+    # generator for a power beyond k_max.
+    for n, powered_source, powered_target in zip(
+        range(1, k_max + 1), tensor_powers(source, k_max), tensor_powers(target, k_max)
+    ):
         if majorized_by(powered_source, powered_target):
             return n
     return None
@@ -201,8 +195,6 @@ def classify_pair(
     a: SchmidtSpectrum,
     b: SchmidtSpectrum,
     k_max: int = 8,
-    *,
-    mem_cap: int | None = None,
 ) -> PairClassification:
     """Classify a pair by its many-copy transformation behaviour.
 
@@ -222,14 +214,14 @@ def classify_pair(
     witness = strong_incomparability_witness(a, b)
     if witness is not None:
         return PairClassification(PairKind.STRONGLY_INCOMPARABLE, witness=witness)
-    n = find_min_deterministic_k(a, b, k_max, mem_cap=mem_cap)
+    n = find_min_deterministic_k(a, b, k_max)
     if n is not None:
         return PairClassification(
             PairKind.K_COPY_INCOMPARABLE,
             k=n - 1,
             direction=Comparability.SOURCE_TO_TARGET,
         )
-    n = find_min_deterministic_k(b, a, k_max, mem_cap=mem_cap)
+    n = find_min_deterministic_k(b, a, k_max)
     if n is not None:
         return PairClassification(
             PairKind.K_COPY_INCOMPARABLE,
@@ -253,8 +245,6 @@ def pmax_scan(
     source: SchmidtSpectrum,
     target: SchmidtSpectrum,
     k_max: int,
-    *,
-    mem_cap: int | None = None,
 ) -> PmaxScan:
     """Optimal conclusive probability for k = 1..k_max copies.
 
@@ -270,11 +260,10 @@ def pmax_scan(
     _, _, ad, bd = _padded_extremes(source, target)
     decay_base = ad / bd if ad < bd else None
     rows = []
-    for k in range(1, k_max + 1):
-        p = vidal_pmax(
-            tensor_power(source, k, mem_cap=mem_cap),
-            tensor_power(target, k, mem_cap=mem_cap),
-        )
+    for k, powered_source, powered_target in zip(
+        range(1, k_max + 1), tensor_powers(source, k_max), tensor_powers(target, k_max)
+    ):
+        p = vidal_pmax(powered_source, powered_target)
         bound = decay_base**k if decay_base is not None else None
         rows.append(PmaxScanRow(k, p, bound))
     return PmaxScan(tuple(rows))
@@ -285,8 +274,6 @@ def conjecture_scan(
     target: SchmidtSpectrum,
     k: int,
     n_max: int,
-    *,
-    mem_cap: int | None = None,
 ) -> tuple[tuple[int, bool], ...]:
     """Numerical EVIDENCE that determinism at k+1 copies persists beyond.
 
@@ -300,17 +287,13 @@ def conjecture_scan(
         raise ValueError(f"k must be >= 1, got {k}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    base_source = tensor_power(source, k + 1, mem_cap=mem_cap)
-    base_target = tensor_power(target, k + 1, mem_cap=mem_cap)
-    if not majorized_by(base_source, base_target):
+    # The baseline is built on its own, so a baseline over the memory cap
+    # fails before any other power is built.
+    if not majorized_by(tensor_power(source, k + 1), tensor_power(target, k + 1)):
         raise BaselineNotDeterministic(
             f"the {k + 1}-copy conversion is not deterministic"
         )
-    results = []
-    for n in range(k + 2, n_max + 1):
-        holds = majorized_by(
-            tensor_power(source, n, mem_cap=mem_cap),
-            tensor_power(target, n, mem_cap=mem_cap),
-        )
-        results.append((n, holds))
-    return tuple(results)
+    powers = zip(
+        range(1, n_max + 1), tensor_powers(source, n_max), tensor_powers(target, n_max)
+    )
+    return tuple((n, majorized_by(x, y)) for n, x, y in powers if n > k + 1)

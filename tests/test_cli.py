@@ -154,6 +154,13 @@ class TestCatalyst:
         assert code == 0
         assert out.strip() == "false"
 
+    def test_check_product_over_memory_cap_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setenv("LOCC_LAB_MEM_CAP", "5")
+        code, out, err = run(capsys, "catalyst", "eq2", "eq3", "--check", "chi")
+        assert code == 3
+        assert out == ""
+        assert "cap" in err
+
     def test_find_on_small_grid(self, capsys):
         code, out, _ = run(capsys, "catalyst", "eq2", "eq3", "--find",
                            "--dims", "2..2", "--grid-q", "10")

@@ -10,19 +10,19 @@ from locc_lab import (
     SchmidtSpectrum,
     catalyzes,
     entropy,
+    find_min_deterministic_k,
     grid_candidates,
     majorized_by,
-    majorized_by_dense,
     make_spectrum,
     maximally_entangled,
-    nielsen_deterministic,
+    pmax_scan,
     power_sum_obstruction,
     tensor_power,
-    tensor_power_dense,
     tensor_product,
     vidal_pmax,
-    vidal_pmax_dense,
 )
+from locc_lab.spectrum import tensor_powers
+from oracles import majorized_by_dense, tensor_power_dense, vidal_pmax_dense
 
 
 @st.composite
@@ -46,6 +46,21 @@ def test_exact_unit_sum(s):
 @given(spectra(), st.integers(1, 3))
 def test_tensor_power_matches_dense_oracle(s, k):
     assert tensor_power(s, k) == tensor_power_dense(s, k)
+
+
+@settings(max_examples=50)
+@given(spectra(max_dim=4), spectra(max_dim=4))
+def test_stepwise_scans_match_dense_oracle(a, b):
+    dense_a = [tensor_power_dense(a, n) for n in range(1, 5)]
+    dense_b = [tensor_power_dense(b, n) for n in range(1, 5)]
+    assert list(tensor_powers(a, 4)) == dense_a
+    rows = pmax_scan(a, b, 4).rows
+    assert [row.pmax for row in rows] == [
+        vidal_pmax_dense(x, y) for x, y in zip(dense_a, dense_b)
+    ]
+    hits = [n for n in range(1, 4) if majorized_by_dense(dense_a[n - 1], dense_b[n - 1])]
+    expected = hits[0] if hits else None
+    assert find_min_deterministic_k(a, b, 3) == expected
 
 
 @given(spectra(max_dim=4), spectra(max_dim=4))
@@ -92,7 +107,7 @@ def test_tensoring_preserves_majorization(a, b, c):
 
 @given(spectra(max_dim=6), spectra(max_dim=6))
 def test_pmax_one_iff_deterministic(a, b):
-    assert (vidal_pmax(a, b) == 1) == nielsen_deterministic(a, b)
+    assert (vidal_pmax(a, b) == 1) == majorized_by(a, b)
 
 
 @settings(max_examples=50)
@@ -125,7 +140,7 @@ def test_power_sum_obstruction_is_sound(x, y, q):
 @given(spectra(max_dim=4), spectra(max_dim=4), st.integers(4, 12))
 def test_trusted_builders_pass_validation(a, b, q):
     # internal builders skip the constructor's checks; run them here
-    built = [tensor_product(a, b), tensor_power(a, 3)]
+    built = [tensor_product(a, b), tensor_power(a, 3), *tensor_powers(b, 3)]
     built += grid_candidates(CatalystSearchConfig(min_dim=2, max_dim=4, grid_denominator=q))
     for s in built:
         assert SchmidtSpectrum(s.entries, s.dim) == s

@@ -9,19 +9,20 @@ import pytest
 from locc_lab import (
     MemoryCapExceeded,
     NegativeEntry,
-    OracleCapExceeded,
     SchmidtSpectrum,
     SumNotOne,
     as_rational,
     default_memory_cap,
     entropy,
+    find_min_deterministic_k,
     make_spectrum,
     maximally_entangled,
+    pmax_scan,
     tensor_power,
-    tensor_power_dense,
     tensor_product,
 )
 from conftest import random_spectrum
+from oracles import OracleCapExceeded, tensor_power_dense
 
 
 class TestAsRational:
@@ -101,6 +102,13 @@ class TestTensorProduct:
     def test_dim_multiplies(self, cat):
         assert tensor_product(cat["eq2"], cat["eq3"]).dim == 12
 
+    def test_memory_cap(self, cat, monkeypatch):
+        monkeypatch.setenv("LOCC_LAB_MEM_CAP", "8")
+        assert tensor_product(cat["eq2"], cat["chi"]).dim == 8
+        with pytest.raises(MemoryCapExceeded) as err:
+            tensor_product(cat["eq2"], cat["eq7"])
+        assert err.value.estimated == 4 * 3
+
 
 class TestTensorPower:
     def test_two_value_cube(self):
@@ -128,9 +136,10 @@ class TestTensorPower:
         with pytest.raises(ValueError):
             tensor_power(cat["eq2"], 0)
 
-    def test_memory_cap(self, cat):
+    def test_memory_cap(self, cat, monkeypatch):
+        monkeypatch.setenv("LOCC_LAB_MEM_CAP", "5")
         with pytest.raises(MemoryCapExceeded) as err:
-            tensor_power(cat["eq2"], 2, mem_cap=5)
+            tensor_power(cat["eq2"], 2)
         assert err.value.estimated == math.comb(2 + 3, 3)
 
     def test_memory_cap_env_override(self, cat, monkeypatch):
@@ -146,6 +155,16 @@ class TestTensorPower:
         monkeypatch.setenv("LOCC_LAB_MEM_CAP", "abc")
         with pytest.raises(ValueError, match="LOCC_LAB_MEM_CAP"):
             default_memory_cap()
+
+    def test_memory_cap_is_checked_per_power(self, cat, monkeypatch):
+        # eq2 has 4 distinct values: powers 1, 2, 3 may have 4, 10, 20
+        monkeypatch.setenv("LOCC_LAB_MEM_CAP", "10")
+        assert find_min_deterministic_k(cat["eq2"], cat["eq3"], 8) == 2
+        for build in (lambda: pmax_scan(cat["eq2"], cat["eq3"], 3),
+                      lambda: tensor_power(cat["eq2"], 3)):
+            with pytest.raises(MemoryCapExceeded) as err:
+                build()
+            assert err.value.estimated == 20
 
 
 class TestDenseOracle:
