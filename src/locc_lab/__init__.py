@@ -51,7 +51,7 @@ from .spectrum import (
     tensor_power,
     tensor_product,
 )
-from .statefile import StateFile, StateFileError, load_state, read_state
+from .statefile import StateFileError, load_state, read_state
 
 __version__ = "0.1.0"
 
@@ -69,7 +69,6 @@ __all__ = [
     "PmaxScanRow",
     "Rational",
     "SchmidtSpectrum",
-    "StateFile",
     "StateFileError",
     "SumNotOne",
     "as_rational",

@@ -124,9 +124,7 @@ def _cmd_catalyst(args) -> int:
     source = _load(args, "state_a")
     target = _load(args, "state_b")
     if args.check is not None:
-        candidate = load_state(
-            args.check, amplitudes=args.amplitudes, normalize=args.normalize
-        )
+        candidate = _load(args, "check")
         ok = multicopy_elocc_check(source, target, candidate, args.copies)
         print("true" if ok else "false")
         return EXIT_OK

@@ -296,6 +296,7 @@ def entropy(a: SchmidtSpectrum) -> float:
     """Entropy of entanglement in bits: -sum p log2 p over the spectrum.
 
     The one deliberately floating-point quantity in the toolkit; it feeds
-    asymptotic-rate comparisons, not exact decisions.
+    asymptotic-rate comparisons, not exact decisions.  A product state
+    gives 0.0, not -0.0.
     """
-    return -sum(m * float(v) * math.log2(float(v)) for v, m in a.entries)
+    return 0.0 - sum(m * float(v) * math.log2(float(v)) for v, m in a.entries)

@@ -9,13 +9,17 @@ scientific notation like "1e-3" are accepted too.
 
 CLI arguments that do not name an existing file fall back to the bundled
 catalog, so `locc-lab compare eq2 eq3` works out of the box.
+
+`read_state` returns each coefficient token with the file line it sits
+on, and `load_state` turns the tokens into a spectrum.  Every error names
+the input; errors in a one-per-line file also carry the token's line, and
+errors in a JSON list name the element's position instead.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalog import CATALOG
@@ -32,47 +36,7 @@ class StateFileError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
-@dataclass(frozen=True)
-class StateFile:
-    """A parsed state input: the raw coefficient strings plus the mode
-    they are to be read under ("probabilities" or "amplitudes")."""
-
-    name: str
-    coefficients: tuple[str, ...]
-    mode: str = "probabilities"
-
-    def to_spectrum(self, normalize: bool = False) -> SchmidtSpectrum:
-        """Exact spectrum of the state.
-
-        Amplitude mode squares each entry first.  With normalize=True the
-        entries are rescaled by their exact sum instead of insisting that
-        they already sum to 1.
-        """
-        values = []
-        for position, token in enumerate(self.coefficients, start=1):
-            try:
-                value = Fraction(token)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise StateFileError(
-                    self.name, f"cannot parse coefficient {token!r}: {exc}", position
-                ) from None
-            if self.mode == "amplitudes":
-                value = value * value
-            values.append(value)
-        if normalize:
-            total = sum(values, Fraction(0))
-            if total <= 0:
-                raise StateFileError(self.name, "cannot normalize: sum is not positive")
-            values = [v / total for v in values]
-        try:
-            return make_spectrum(values)
-        except NegativeEntry as exc:
-            raise StateFileError(self.name, str(exc), exc.index + 1) from None
-        except SumNotOne as exc:
-            raise StateFileError(self.name, str(exc)) from None
-
-
-def _tokens_from_lines(source: str, text: str) -> tuple[str, ...]:
+def _tokens_from_lines(source: str, text: str) -> list[tuple[str, int]]:
     tokens = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -82,13 +46,13 @@ def _tokens_from_lines(source: str, text: str) -> tuple[str, ...]:
             raise StateFileError(
                 source, f"expected one coefficient per line, got {line!r}", lineno
             )
-        tokens.append(line)
+        tokens.append((line, lineno))
     if not tokens:
         raise StateFileError(source, "no coefficients found")
-    return tuple(tokens)
+    return tokens
 
 
-def _tokens_from_json(source: str, text: str) -> tuple[str, ...]:
+def _tokens_from_json(source: str, text: str) -> list[tuple[str, None]]:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -103,25 +67,29 @@ def _tokens_from_json(source: str, text: str) -> tuple[str, ...]:
             )
         # Floats written by json are decimal literals; going through str()
         # preserves their decimal reading exactly.
-        tokens.append(item if isinstance(item, str) else str(item))
-    return tuple(tokens)
+        tokens.append((item if isinstance(item, str) else str(item), None))
+    return tokens
 
 
-def read_state(path_or_name: str, mode: str = "probabilities") -> StateFile:
-    """Read a state file, falling back to the bundled catalog by name."""
+def read_state(path_or_name: str) -> list[tuple[str, int | None]]:
+    """Coefficient tokens of a state file, each with its file line.
+
+    A name that is not an existing file falls back to the bundled catalog.
+    The line is None for JSON elements and catalog entries.
+    """
     if os.path.exists(path_or_name):
         try:
             with open(path_or_name, encoding="utf-8") as handle:
                 text = handle.read()
         except OSError as exc:
             raise StateFileError(path_or_name, f"cannot read: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise StateFileError(path_or_name, f"not UTF-8 text: {exc}") from None
         if text.lstrip().startswith("["):
-            tokens = _tokens_from_json(path_or_name, text)
-        else:
-            tokens = _tokens_from_lines(path_or_name, text)
-        return StateFile(path_or_name, tokens, mode)
+            return _tokens_from_json(path_or_name, text)
+        return _tokens_from_lines(path_or_name, text)
     if path_or_name in CATALOG:
-        return StateFile(path_or_name, CATALOG[path_or_name], mode)
+        return [(token, None) for token in CATALOG[path_or_name]]
     raise StateFileError(
         path_or_name, "no such file, and not a bundled fixture name"
     )
@@ -130,6 +98,30 @@ def read_state(path_or_name: str, mode: str = "probabilities") -> StateFile:
 def load_state(
     path_or_name: str, *, amplitudes: bool = False, normalize: bool = False
 ) -> SchmidtSpectrum:
-    """One-call convenience: read and convert to a spectrum."""
-    mode = "amplitudes" if amplitudes else "probabilities"
-    return read_state(path_or_name, mode).to_spectrum(normalize=normalize)
+    """Exact spectrum of a state file or catalog name.
+
+    With amplitudes=True each entry is squared first.  With normalize=True
+    the entries are rescaled by their exact sum instead of insisting that
+    they already sum to 1.
+    """
+    tokens = read_state(path_or_name)
+    values = []
+    for position, (token, line) in enumerate(tokens, start=1):
+        try:
+            value = Fraction(token)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise StateFileError(
+                path_or_name, f"cannot parse entry {position} {token!r}: {exc}", line
+            ) from None
+        values.append(value * value if amplitudes else value)
+    if normalize:
+        total = sum(values, Fraction(0))
+        if total <= 0:
+            raise StateFileError(path_or_name, "cannot normalize: sum is not positive")
+        values = [v / total for v in values]
+    try:
+        return make_spectrum(values)
+    except NegativeEntry as exc:
+        raise StateFileError(path_or_name, str(exc), tokens[exc.index][1]) from None
+    except SumNotOne as exc:
+        raise StateFileError(path_or_name, str(exc)) from None

@@ -45,6 +45,14 @@ class TestCompare:
         assert code == 2
         assert f"{path}:2" in err
 
+    def test_non_utf8_file_exits_2_naming_it(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"\xff\xfe0.5\n")
+        code, out, err = run(capsys, "compare", str(path), "eq3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}: ")
+
     def test_normalize_flag(self, capsys, tmp_path):
         path = tmp_path / "weights.txt"
         path.write_text("2\n1\n1\n")
@@ -210,6 +218,13 @@ class TestEntropy:
         code, out, _ = run(capsys, "entropy", "eq12")
         assert code == 0
         assert out.strip().startswith("1.5219280948873")
+
+    def test_product_state_prints_zero(self, capsys, tmp_path):
+        path = tmp_path / "product.txt"
+        path.write_text("1\n")
+        assert run(capsys, "entropy", str(path)) == (0, "0\n", "")
+        assert run(capsys, "entropy", "eq12") == (0, "1.52192809488736\n", "")
+        assert run(capsys, "entropy", "eq13") == (0, "1.5\n", "")
 
 
 def test_console_script_installed():

@@ -215,6 +215,7 @@ class TestEntropy:
 
     def test_product_state_has_none(self):
         assert entropy(make_spectrum((1,))) == 0.0
+        assert math.copysign(1.0, entropy(make_spectrum((1,)))) == 1.0  # not -0.0
 
     def test_additive_over_tensor_products(self, cat):
         rng = random.Random(7)

@@ -69,6 +69,28 @@ class TestLineFormat:
         assert err.value.line == 2
         assert "bogus" in str(err.value)
 
+    def test_bad_token_after_comment_and_blank_reports_file_line(self, tmp_path):
+        path = tmp_path / "state.txt"
+        path.write_text("# header\n\n0.5\nabc\n0.5")
+        with pytest.raises(StateFileError) as err:
+            load_state(str(path))
+        assert err.value.line == 4
+        assert f"{path}:4: " in str(err.value)
+
+    def test_negative_entry_reports_file_line(self, tmp_path):
+        path = tmp_path / "state.txt"
+        path.write_text("# weights\n0.5\n\n0.75  # big\n-0.25\n")
+        with pytest.raises(StateFileError) as err:
+            load_state(str(path))
+        assert err.value.line == 5
+
+    def test_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "state.txt"
+        path.write_bytes(b"\xff\xfe0.5\n")
+        with pytest.raises(StateFileError) as err:
+            load_state(str(path))
+        assert str(path) in str(err.value)
+
     def test_two_tokens_on_a_line_rejected(self, tmp_path):
         path = tmp_path / "state.txt"
         path.write_text("0.5 0.5\n")
@@ -101,6 +123,14 @@ class TestJsonFormat:
             load_state(str(path))
         assert err.value.line is not None
 
+    def test_negative_element_names_its_position(self, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text("[\n0.5,\n0.75,\n-0.25\n]")
+        with pytest.raises(StateFileError) as err:
+            load_state(str(path))
+        assert err.value.line is None
+        assert "entry 3" in str(err.value)
+
     def test_non_list_rejected(self, tmp_path):
         path = tmp_path / "state.json"
         path.write_text('["0.5", {"x": 1}]')
@@ -110,7 +140,7 @@ class TestJsonFormat:
 
 class TestModes:
     def test_fixture_name_fallback(self):
-        assert read_state("eq2").coefficients == CATALOG["eq2"]
+        assert read_state("eq2") == [(token, None) for token in CATALOG["eq2"]]
         assert load_state("eq2") == load_fixture("eq2")
 
     def test_missing_input(self):
