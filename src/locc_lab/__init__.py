@@ -7,12 +7,11 @@ behaviour, and verifies or searches for entanglement catalysts - all in
 exact rational arithmetic on multiplicity-compressed Schmidt spectra.
 """
 
-from .catalog import CATALOG, fixture_names, load_fixture
+from .catalog import CATALOG, load_fixture
 from .catalysis import (
     CatalystSearchConfig,
     catalyzes,
     grid_candidates,
-    multicopy_elocc_check,
     search_catalyst,
 )
 from .majorization import (
@@ -32,26 +31,23 @@ from .multicopy import (
     conjecture_scan,
     find_min_deterministic_k,
     multicopy_necessary,
-    pmax_mes,
     pmax_scan,
     power_sum_obstruction,
     strong_incomparability_witness,
 )
 from .spectrum import (
+    InputError,
     MemoryCapExceeded,
     NegativeEntry,
-    Rational,
     SchmidtSpectrum,
     SumNotOne,
-    as_rational,
-    default_memory_cap,
     entropy,
     make_spectrum,
     maximally_entangled,
     tensor_power,
     tensor_product,
 )
-from .statefile import StateFileError, load_state, read_state
+from .statefile import StateFileError, load_state
 
 __version__ = "0.1.0"
 
@@ -61,37 +57,31 @@ __all__ = [
     "CatalystSearchConfig",
     "Comparability",
     "ExtremalWitness",
+    "InputError",
     "MemoryCapExceeded",
     "NegativeEntry",
     "PairClassification",
     "PairKind",
     "PmaxScan",
     "PmaxScanRow",
-    "Rational",
     "SchmidtSpectrum",
     "StateFileError",
     "SumNotOne",
-    "as_rational",
     "catalyzes",
     "classify_pair",
     "compare",
     "conjecture_scan",
-    "default_memory_cap",
     "entropy",
     "find_min_deterministic_k",
-    "fixture_names",
     "grid_candidates",
     "load_fixture",
     "load_state",
     "majorized_by",
     "make_spectrum",
     "maximally_entangled",
-    "multicopy_elocc_check",
     "multicopy_necessary",
-    "pmax_mes",
     "pmax_scan",
     "power_sum_obstruction",
-    "read_state",
     "search_catalyst",
     "strong_incomparability_witness",
     "tensor_power",

@@ -43,10 +43,6 @@ CATALOG: dict[str, tuple[str, ...]] = {
 }
 
 
-def fixture_names() -> tuple[str, ...]:
-    return tuple(CATALOG)
-
-
 def load_fixture(name: str) -> SchmidtSpectrum:
     """Catalog entry as a spectrum (zeros stripped, multiplicities merged)."""
     try:

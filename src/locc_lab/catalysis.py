@@ -19,7 +19,13 @@ from typing import Iterator
 
 from .majorization import majorized_by
 from .multicopy import multicopy_necessary, power_sum_obstruction
-from .spectrum import SchmidtSpectrum, _trusted_spectrum, tensor_power, tensor_product
+from .spectrum import (
+    InputError,
+    SchmidtSpectrum,
+    _trusted_spectrum,
+    tensor_power,
+    tensor_product,
+)
 
 
 @dataclass(frozen=True)
@@ -37,13 +43,13 @@ class CatalystSearchConfig:
 
     def __post_init__(self):
         if self.min_dim < 2:
-            raise ValueError("catalyst rank below 2 is trivial and never helps")
+            raise InputError("catalyst rank below 2 is trivial and never helps")
         if self.max_dim < self.min_dim:
-            raise ValueError("max_dim must be >= min_dim")
+            raise InputError("max_dim must be >= min_dim")
         if self.grid_denominator < self.max_dim:
-            raise ValueError("grid denominator must be >= the largest rank")
+            raise InputError("grid denominator must be >= the largest rank")
         if self.copies < 1:
-            raise ValueError("copies must be >= 1")
+            raise InputError("copies must be >= 1")
 
 
 def catalyzes(
@@ -52,22 +58,6 @@ def catalyzes(
     """True iff borrowing the catalyst makes source -> target deterministic."""
     return majorized_by(
         tensor_product(source, catalyst), tensor_product(target, catalyst)
-    )
-
-
-def multicopy_elocc_check(
-    source: SchmidtSpectrum,
-    target: SchmidtSpectrum,
-    catalyst: SchmidtSpectrum,
-    k: int,
-) -> bool:
-    """Does the catalyst make the k-copy conversion deterministic?"""
-    if k < 1:
-        raise ValueError(f"copy count must be >= 1, got {k}")
-    return catalyzes(
-        tensor_power(source, k),
-        tensor_power(target, k),
-        catalyst,
     )
 
 

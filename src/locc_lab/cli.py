@@ -2,8 +2,9 @@
 
 Subcommands: compare, classify, scan, catalyst, entropy.  State arguments
 are file paths (one coefficient per line or a JSON list) or names from the
-bundled catalog.  Exit codes: 0 success, 2 input error, 3 resource cap
-exceeded, 4 output I/O error.
+bundled catalog.  Exit codes: 0 success, 2 input error (`InputError`), 3
+resource cap exceeded, 4 output I/O error; any other exception is a bug
+and ends with a traceback.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import contextlib
 import csv
 import sys
 
-from .catalysis import CatalystSearchConfig, multicopy_elocc_check, search_catalyst
+from .catalysis import CatalystSearchConfig, catalyzes, search_catalyst
 from .majorization import Comparability, compare, vidal_pmax
 from .multicopy import (
     ExtremalWitness,
@@ -24,8 +25,8 @@ from .multicopy import (
     power_sum_obstruction,
 )
 from .render import format_decimal, format_decimal_fixed, format_rational
-from .spectrum import MemoryCapExceeded, entropy
-from .statefile import StateFileError, load_state
+from .spectrum import InputError, MemoryCapExceeded, entropy, tensor_power
+from .statefile import load_state
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -125,7 +126,8 @@ def _cmd_catalyst(args) -> int:
     target = _load(args, "state_b")
     if args.check is not None:
         candidate = _load(args, "check")
-        ok = multicopy_elocc_check(source, target, candidate, args.copies)
+        k = args.copies
+        ok = catalyzes(tensor_power(source, k), tensor_power(target, k), candidate)
         print("true" if ok else "false")
         return EXIT_OK
     lo, hi = args.dims
@@ -220,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except StateFileError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryCapExceeded as exc:
@@ -229,9 +231,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

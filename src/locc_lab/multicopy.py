@@ -17,7 +17,13 @@ from enum import Enum
 from fractions import Fraction
 
 from .majorization import Comparability, compare, majorized_by, vidal_pmax
-from .spectrum import SchmidtSpectrum, _integer_runs, tensor_power, tensor_powers
+from .spectrum import (
+    InputError,
+    SchmidtSpectrum,
+    _integer_runs,
+    tensor_power,
+    tensor_powers,
+)
 
 #: Exponents tried by `power_sum_obstruction`.  On the 78 grid misses of six
 #: seeded catalyst-benchmark passes, 2..3 certify 32, 2..8 certify 36, and
@@ -176,7 +182,7 @@ def find_min_deterministic_k(
     the memory cap is returned without reaching that count.
     """
     if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+        raise InputError(f"k_max must be >= 1, got {k_max}")
     if not multicopy_necessary(source, target):
         return None
     if power_sum_obstruction(source, target) is not None:
@@ -231,16 +237,6 @@ def classify_pair(
     return PairClassification(PairKind.UNDECIDED, searched_up_to=k_max)
 
 
-def pmax_mes(s: SchmidtSpectrum, d: int) -> Fraction:
-    """Optimal probability of converting s to the rank-d maximally
-    entangled state: d times the smallest coefficient (zero if the rank
-    was padded up, making the conversion impossible)."""
-    if d < s.dim:
-        raise ValueError(f"target rank {d} below spectrum rank {s.dim}")
-    smallest = s.smallest if d == s.dim else Fraction(0)
-    return d * smallest
-
-
 def pmax_scan(
     source: SchmidtSpectrum,
     target: SchmidtSpectrum,
@@ -256,7 +252,7 @@ def pmax_scan(
     1 at some copy count).
     """
     if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+        raise InputError(f"k_max must be >= 1, got {k_max}")
     _, _, ad, bd = _padded_extremes(source, target)
     decay_base = ad / bd if ad < bd else None
     rows = []
@@ -284,9 +280,9 @@ def conjecture_scan(
     interesting entries are the remainders.
     """
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise InputError(f"k must be >= 1, got {k}")
     if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+        raise InputError(f"n_max must be >= 1, got {n_max}")
     # The baseline is built on its own, so a baseline over the memory cap
     # fails before any other power is built.
     if not majorized_by(tensor_power(source, k + 1), tensor_power(target, k + 1)):

@@ -38,10 +38,3 @@ def format_decimal_fixed(x: Fraction, significant: int = 15) -> str:
     itself produces (5/6 -> "0.833333333333333")."""
     return format(_to_decimal(x, significant), "f")
 
-
-def format_percent(x: Fraction, significant: int = 2) -> str:
-    """Percentage to the given significant digits (20/23 -> "87%")."""
-    d = _to_decimal(100 * x, significant)
-    if d == d.to_integral_value():
-        return f"{int(d)}%"
-    return f"{format(d.normalize(), 'f')}%"

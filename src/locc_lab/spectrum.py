@@ -27,10 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
-#: Exact arbitrary-precision rational; always in lowest terms with a
-#: positive denominator, which is exactly the invariant we need.
-Rational = Fraction
-
 CoefficientLike = Union[Fraction, int, float, str]
 
 #: Default cap on the number of *distinct* entries a tensor power or
@@ -39,7 +35,12 @@ DEFAULT_MEMORY_CAP = 2_000_000
 MEMORY_CAP_ENV_VAR = "LOCC_LAB_MEM_CAP"
 
 
-class NegativeEntry(ValueError):
+class InputError(ValueError):
+    """Bad input: a malformed state, argument or setting.  The CLI reports
+    exactly these with exit code 2; any other error is a bug."""
+
+
+class NegativeEntry(InputError):
     """A probability was negative."""
 
     def __init__(self, index: int, value: Fraction):
@@ -48,7 +49,7 @@ class NegativeEntry(ValueError):
         super().__init__(f"entry {index + 1} is negative: {value}")
 
 
-class SumNotOne(ValueError):
+class SumNotOne(InputError):
     """Probabilities do not sum to exactly 1; reports the exact deficit."""
 
     def __init__(self, total: Fraction):
@@ -68,7 +69,7 @@ class MemoryCapExceeded(RuntimeError):
         )
 
 
-def default_memory_cap() -> int:
+def _memory_cap() -> int:
     """Distinct-entry cap: LOCC_LAB_MEM_CAP if set, else 2 million."""
     raw = os.environ.get(MEMORY_CAP_ENV_VAR)
     if raw is None:
@@ -78,23 +79,8 @@ def default_memory_cap() -> int:
     except ValueError:
         cap = 0
     if cap < 1:
-        raise ValueError(f"{MEMORY_CAP_ENV_VAR} must be a positive integer, got {raw!r}")
+        raise InputError(f"{MEMORY_CAP_ENV_VAR} must be a positive integer, got {raw!r}")
     return cap
-
-
-def as_rational(value: CoefficientLike) -> Fraction:
-    """Coerce a coefficient to an exact rational.
-
-    Ints, Fractions, and strings pass straight to ``Fraction`` (decimal
-    strings such as "0.36" parse exactly, to 9/25).  Floats are read via
-    their shortest repr, so the literal 0.4 means 2/5 rather than the
-    nearest binary double; values without a short decimal form (math.pi,
-    results of float division) should be supplied as strings or Fractions
-    instead.
-    """
-    if isinstance(value, float):
-        return Fraction(repr(value))
-    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -168,12 +154,19 @@ def _trusted_spectrum(
 def make_spectrum(probs: Iterable[CoefficientLike]) -> SchmidtSpectrum:
     """Canonicalize a probability list into a compressed spectrum.
 
+    Every entry is read as an exact rational.  Ints, Fractions, and strings
+    pass straight to ``Fraction`` (decimal strings such as "0.36" parse
+    exactly, to 9/25).  Floats are read via their shortest repr, so the
+    literal 0.4 means 2/5 rather than the nearest binary double; values
+    without a short decimal form (math.pi, results of float division)
+    should be supplied as strings or Fractions instead.
+
     Sorts descending, merges equal values into multiplicities, and strips
     zeros (the original padded length is deliberately not kept).  Raises
     NegativeEntry for negative input and SumNotOne when the exact sum
     differs from 1.
     """
-    values = [as_rational(p) for p in probs]
+    values = [Fraction(repr(p) if isinstance(p, float) else p) for p in probs]
     for index, value in enumerate(values):
         if value < 0:
             raise NegativeEntry(index, value)
@@ -238,7 +231,7 @@ def tensor_product(a: SchmidtSpectrum, b: SchmidtSpectrum) -> SchmidtSpectrum:
     Fails up front with MemoryCapExceeded when the number of run pairs,
     which bounds the distinct output entries, exceeds the memory cap.
     """
-    cap = default_memory_cap()
+    cap = _memory_cap()
     estimated = len(a.entries) * len(b.entries)
     if estimated > cap:
         raise MemoryCapExceeded(estimated, cap)
@@ -255,7 +248,7 @@ def tensor_powers(a: SchmidtSpectrum, k_max: int) -> Iterator[SchmidtSpectrum]:
     (as in `tensor_power`) just before each power is built, so a consumer
     that stops early never trips the cap of a power it did not ask for.
     """
-    cap = default_memory_cap()
+    cap = _memory_cap()
     denominator, runs = _integer_runs(a)
     acc = {1: 1}
     for n in range(1, k_max + 1):
@@ -276,8 +269,8 @@ def tensor_power(a: SchmidtSpectrum, k: int) -> SchmidtSpectrum:
     front with MemoryCapExceeded instead of thrashing.
     """
     if k < 1:
-        raise ValueError(f"copy count must be >= 1, got {k}")
-    _check_power_cap(a, k, default_memory_cap())
+        raise InputError(f"copy count must be >= 1, got {k}")
+    _check_power_cap(a, k, _memory_cap())
     denominator, runs = _integer_runs(a)
     acc = {1: 1}
     for _ in range(k):
@@ -297,6 +290,7 @@ def entropy(a: SchmidtSpectrum) -> float:
 
     The one deliberately floating-point quantity in the toolkit; it feeds
     asymptotic-rate comparisons, not exact decisions.  A product state
-    gives 0.0, not -0.0.
+    gives 0.0, not -0.0, and a value too small for a float (it rounds to
+    0.0) contributes its limit p log p -> 0 instead of a math domain error.
     """
-    return 0.0 - sum(m * float(v) * math.log2(float(v)) for v, m in a.entries)
+    return 0.0 - sum(m * p * math.log2(p) for v, m in a.entries if (p := float(v)))

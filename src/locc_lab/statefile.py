@@ -23,10 +23,16 @@ import os
 from fractions import Fraction
 
 from .catalog import CATALOG
-from .spectrum import NegativeEntry, SchmidtSpectrum, SumNotOne, make_spectrum
+from .spectrum import (
+    InputError,
+    NegativeEntry,
+    SchmidtSpectrum,
+    SumNotOne,
+    make_spectrum,
+)
 
 
-class StateFileError(ValueError):
+class StateFileError(InputError):
     """Unreadable or unparsable state input; knows file and line."""
 
     def __init__(self, source: str, message: str, line: int | None = None):
@@ -53,22 +59,20 @@ def _tokens_from_lines(source: str, text: str) -> list[tuple[str, int]]:
 
 
 def _tokens_from_json(source: str, text: str) -> list[tuple[str, None]]:
+    # Every number stays its file text, so it is parsed exactly, like a
+    # one-per-line token, and never rounded to a binary double first.
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_float=str, parse_int=str, parse_constant=str)
     except json.JSONDecodeError as exc:
         raise StateFileError(source, f"invalid JSON: {exc.msg}", exc.lineno) from None
     if not isinstance(data, list) or not data:
         raise StateFileError(source, "JSON input must be a non-empty list")
-    tokens = []
     for position, item in enumerate(data, start=1):
-        if isinstance(item, bool) or not isinstance(item, (str, int, float)):
+        if not isinstance(item, str):
             raise StateFileError(
                 source, f"element {position} is not a number or string: {item!r}"
             )
-        # Floats written by json are decimal literals; going through str()
-        # preserves their decimal reading exactly.
-        tokens.append((item if isinstance(item, str) else str(item), None))
-    return tokens
+    return [(item, None) for item in data]
 
 
 def read_state(path_or_name: str) -> list[tuple[str, int | None]]:

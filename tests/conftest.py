@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, settings
 
-from locc_lab import fixture_names, load_fixture, make_spectrum
+from locc_lab import CATALOG, load_fixture, make_spectrum
 
 settings.register_profile(
     "locc-lab",
@@ -19,7 +19,7 @@ settings.load_profile("locc-lab")
 @pytest.fixture(scope="session")
 def cat():
     """All bundled catalog states, by name."""
-    return {name: load_fixture(name) for name in fixture_names()}
+    return {name: load_fixture(name) for name in CATALOG}
 
 
 def random_spectrum(rng: random.Random, max_dim: int = 5, min_dim: int = 1,

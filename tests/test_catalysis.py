@@ -7,14 +7,15 @@ import pytest
 
 from locc_lab import (
     CatalystSearchConfig,
+    InputError,
     catalyzes,
     grid_candidates,
     majorized_by,
     make_spectrum,
     maximally_entangled,
-    multicopy_elocc_check,
     multicopy_necessary,
     search_catalyst,
+    tensor_power,
 )
 from conftest import random_spectrum
 
@@ -73,24 +74,29 @@ class TestSearchCatalyst:
         assert first == second is not None
 
 
+def catalyzes_copies(source, target, catalyst, k):
+    """The k-copy catalysis check that `catalyst --check --copies k` runs."""
+    return catalyzes(tensor_power(source, k), tensor_power(target, k), catalyst)
+
+
 class TestMulticopyEloccCheck:
     def test_matches_single_copy_catalysis(self, cat):
-        assert multicopy_elocc_check(cat["eq2"], cat["eq3"], cat["chi"], 1) is True
-        assert multicopy_elocc_check(cat["eq2"], cat["eq3"], cat["chi"], 1) == catalyzes(
+        assert catalyzes_copies(cat["eq2"], cat["eq3"], cat["chi"], 1) is True
+        assert catalyzes_copies(cat["eq2"], cat["eq3"], cat["chi"], 1) == catalyzes(
             cat["eq2"], cat["eq3"], cat["chi"]
         )
 
     def test_impossible_pair_fails_at_every_copy_count(self, cat):
         for k in (1, 2, 3):
-            assert not multicopy_elocc_check(cat["eq12"], cat["eq13"], cat["chi"], k)
+            assert not catalyzes_copies(cat["eq12"], cat["eq13"], cat["chi"], k)
 
     def test_identity_pair(self, cat):
         for k in (1, 2):
-            assert multicopy_elocc_check(cat["eq7"], cat["eq7"], cat["chi"], k)
+            assert catalyzes_copies(cat["eq7"], cat["eq7"], cat["chi"], k)
 
     def test_invalid_copy_count(self, cat):
-        with pytest.raises(ValueError):
-            multicopy_elocc_check(cat["eq2"], cat["eq3"], cat["chi"], 0)
+        with pytest.raises(InputError, match="copy count must be >= 1, got 0"):
+            catalyzes_copies(cat["eq2"], cat["eq3"], cat["chi"], 0)
 
 
 class TestGrid:
@@ -117,11 +123,11 @@ class TestGrid:
         assert set(dims) == {2, 3, 4}
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             CatalystSearchConfig(min_dim=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             CatalystSearchConfig(min_dim=3, max_dim=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             CatalystSearchConfig(max_dim=5, grid_denominator=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             CatalystSearchConfig(copies=0)

@@ -5,6 +5,7 @@ import subprocess
 
 import pytest
 
+from locc_lab import cli, multicopy
 from locc_lab.cli import main
 
 
@@ -219,12 +220,61 @@ class TestEntropy:
         assert code == 0
         assert out.strip().startswith("1.5219280948873")
 
+    def test_json_digits_beyond_double_precision(self, capsys, tmp_path):
+        digits = ("0.33333333333333333333", "0.66666666666666666667")
+        json_path = tmp_path / "state.json"
+        json_path.write_text("[" + ", ".join(digits) + "]")
+        lines_path = tmp_path / "state.txt"
+        lines_path.write_text("\n".join(digits) + "\n")
+        code, out, err = run(capsys, "entropy", str(json_path))
+        assert (code, err) == (0, "")
+        assert run(capsys, "entropy", str(lines_path)) == (0, out, "")
+
+    def test_value_below_float_range_contributes_nothing(self, capsys, tmp_path):
+        path = tmp_path / "tiny.txt"
+        path.write_text("1e-400\n1\n")
+        assert run(capsys, "entropy", str(path), "--normalize") == (0, "0\n", "")
+
     def test_product_state_prints_zero(self, capsys, tmp_path):
         path = tmp_path / "product.txt"
         path.write_text("1\n")
         assert run(capsys, "entropy", str(path)) == (0, "0\n", "")
         assert run(capsys, "entropy", "eq12") == (0, "1.52192809488736\n", "")
         assert run(capsys, "entropy", "eq13") == (0, "1.5\n", "")
+
+
+class TestExitCodes:
+    """Exit code 2 means bad input and nothing else."""
+
+    @pytest.mark.parametrize("argv, env, err", [
+        (["classify", "eq2", "eq3", "--k-max", "0"], None,
+         "error: k_max must be >= 1, got 0\n"),
+        (["catalyst", "eq2", "eq3", "--copies", "0", "--check", "chi"], None,
+         "error: copy count must be >= 1, got 0\n"),
+        (["catalyst", "eq2", "eq3", "--find", "--grid-q", "3"], None,
+         "error: grid denominator must be >= the largest rank\n"),
+        (["classify", "eq2", "eq3"], "abc",
+         "error: LOCC_LAB_MEM_CAP must be a positive integer, got 'abc'\n"),
+    ])
+    def test_bad_input_exits_2(self, capsys, monkeypatch, argv, env, err):
+        if env is not None:
+            monkeypatch.setenv("LOCC_LAB_MEM_CAP", env)
+        assert run(capsys, *argv) == (2, "", err)
+
+    def test_other_value_errors_propagate(self, capsys, monkeypatch):
+        def broken(args):
+            raise ValueError("not an input error")
+
+        monkeypatch.setattr(cli, "_cmd_entropy", broken)
+        with pytest.raises(ValueError, match="not an input error"):
+            main(["entropy", "eq12"])
+        assert capsys.readouterr().err == ""
+
+    def test_broken_scan_invariant_propagates(self, monkeypatch):
+        # eq12 -> eq13 carries the decay bound (4/5)^k; a pmax above it is a bug.
+        monkeypatch.setattr(multicopy, "vidal_pmax", lambda x, y: 1)
+        with pytest.raises(ValueError, match="above bound"):
+            main(["scan", "eq12", "eq13", "--k-max", "2"])
 
 
 def test_console_script_installed():

@@ -1,9 +1,11 @@
 """The README's sample output and the demos stay true to the code."""
 
 import os
+import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -28,6 +30,15 @@ def readme_samples() -> dict[str, str]:
 
 SAMPLES = readme_samples()
 
+#: `expression   # literal` lines of the README's Library block whose
+#: comment starts with the value the expression evaluates to.
+CLAIM = re.compile(r"(?P<expr>\S.*?)\s+# (?P<value>False|True|Fraction\(\d+, \d+\))(?!\w)")
+
+
+def readme_library_block() -> str:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return text.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
@@ -48,6 +59,18 @@ def test_readme_sample_output(capsys, command):
     assert main(shlex.split(command)) == 0
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (SAMPLES[command], "")
+
+
+def test_readme_library_block():
+    block = readme_library_block()
+    namespace = {}
+    exec(block, namespace)
+    claims = [m for m in map(CLAIM.match, block.splitlines()) if m]
+    assert len(claims) >= 4
+    for claim in claims:
+        got = eval(claim["expr"], namespace)
+        want = eval(claim["value"], {"Fraction": Fraction})
+        assert (type(got), got) == (type(want), want), claim[0]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)

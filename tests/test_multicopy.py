@@ -9,6 +9,7 @@ from locc_lab import (
     BaselineNotDeterministic,
     Comparability,
     ExtremalWitness,
+    InputError,
     PairKind,
     PmaxScan,
     PmaxScanRow,
@@ -17,10 +18,10 @@ from locc_lab import (
     find_min_deterministic_k,
     maximally_entangled,
     multicopy_necessary,
-    pmax_mes,
     pmax_scan,
     power_sum_obstruction,
     strong_incomparability_witness,
+    vidal_pmax,
 )
 from conftest import random_spectrum
 
@@ -84,8 +85,18 @@ class TestFindMinDeterministicK:
         assert find_min_deterministic_k(cat["eq12"], cat["eq13"], 8) is None
 
     def test_invalid_budget(self, cat):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="k_max must be >= 1, got 0"):
             find_min_deterministic_k(cat["eq2"], cat["eq3"], 0)
+
+    def test_every_budget_check_is_an_input_error(self, cat):
+        a, b = cat["eq2"], cat["eq3"]
+        for call, message in (
+            (lambda: pmax_scan(a, b, 0), "k_max must be >= 1, got 0"),
+            (lambda: conjecture_scan(a, b, 0, 5), "k must be >= 1, got 0"),
+            (lambda: conjecture_scan(a, b, 1, 0), "n_max must be >= 1, got 0"),
+        ):
+            with pytest.raises(InputError, match=message):
+                call()
 
     def test_success_implies_necessary_condition(self):
         rng = random.Random(1234)
@@ -151,20 +162,23 @@ class TestClassifyPair:
 
 
 class TestPmaxMes:
+    """Conversion to the rank-d maximally entangled state (Vidal's formula
+    reduces to d times the smallest coefficient at equal rank)."""
+
     def test_catalog_values(self, cat):
-        assert pmax_mes(cat["eq13"], 3) == F(3, 4)
-        assert pmax_mes(cat["eq12"], 3) == F(3, 5)
+        assert vidal_pmax(cat["eq13"], maximally_entangled(3)) == F(3, 4)
+        assert vidal_pmax(cat["eq12"], maximally_entangled(3)) == F(3, 5)
 
     def test_uniform_converts_with_certainty(self):
         for d in (1, 2, 5):
-            assert pmax_mes(maximally_entangled(d), d) == 1
+            assert vidal_pmax(maximally_entangled(d), maximally_entangled(d)) == 1
 
     def test_padded_rank_is_impossible(self, cat):
-        assert pmax_mes(cat["eq12"], 4) == 0
+        assert vidal_pmax(cat["eq12"], maximally_entangled(4)) == 0
 
-    def test_rank_below_spectrum_rejected(self, cat):
-        with pytest.raises(ValueError):
-            pmax_mes(cat["eq2"], 3)
+    def test_rank_below_spectrum_is_answered(self, cat):
+        # eq2 = (.4, .36, .14, .1): tail ratios 1, .6/(2/3), .24/(1/3)
+        assert vidal_pmax(cat["eq2"], maximally_entangled(3)) == F(18, 25)
 
 
 class TestPmaxScan:
@@ -193,10 +207,12 @@ class TestPmaxScan:
         assert [r.decay_bound for r in scan.rows] == [0, 0]
 
     def test_row_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            PmaxScan((PmaxScanRow(2, F(1), None),))
-        with pytest.raises(ValueError):
-            PmaxScan((PmaxScanRow(1, F(1), F(1, 2)),))
+        # A broken invariant is a bug, not bad input: the CLI must not map
+        # it to exit code 2.
+        for rows in ((PmaxScanRow(2, F(1), None),), (PmaxScanRow(1, F(1), F(1, 2)),)):
+            with pytest.raises(ValueError) as err:
+                PmaxScan(rows)
+            assert not isinstance(err.value, InputError)
 
 
 class TestConjectureScan:

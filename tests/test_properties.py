@@ -94,6 +94,13 @@ def test_majorization_antisymmetric(a, b):
         assert a == b
 
 
+@given(spectra(max_dim=6), st.integers(0, 2))
+def test_pmax_to_maximally_entangled(s, extra):
+    d = s.dim + extra
+    want = d * s.smallest if extra == 0 else 0
+    assert vidal_pmax(s, maximally_entangled(d)) == want
+
+
 @given(spectra(max_dim=6))
 def test_uniform_spectrum_is_bottom(s):
     assert majorized_by(maximally_entangled(s.dim), s)

@@ -7,12 +7,11 @@ from fractions import Fraction as F
 import pytest
 
 from locc_lab import (
+    InputError,
     MemoryCapExceeded,
     NegativeEntry,
     SchmidtSpectrum,
     SumNotOne,
-    as_rational,
-    default_memory_cap,
     entropy,
     find_min_deterministic_k,
     make_spectrum,
@@ -26,16 +25,19 @@ from oracles import OracleCapExceeded, tensor_power_dense
 
 
 class TestAsRational:
+    """How make_spectrum reads each coefficient as an exact rational."""
+
     def test_decimal_string_is_exact(self):
-        assert as_rational("0.36") == F(9, 25)
+        assert make_spectrum(["0.36", "0.64"]).entries == ((F(16, 25), 1), (F(9, 25), 1))
 
     def test_float_literal_reads_as_shortest_decimal(self):
-        assert as_rational(0.4) == F(2, 5)
-        assert as_rational(0.1296) == F(1296, 10000)
+        assert make_spectrum([0.4, 0.6]).entries == ((F(3, 5), 1), (F(2, 5), 1))
+        got = make_spectrum([0.1296, 0.8704]).entries
+        assert got == ((F(8704, 10000), 1), (F(1296, 10000), 1))
 
     def test_fraction_and_int_pass_through(self):
-        assert as_rational(F(3, 7)) == F(3, 7)
-        assert as_rational(1) == F(1)
+        assert make_spectrum([F(3, 7), F(4, 7)]).entries == ((F(4, 7), 1), (F(3, 7), 1))
+        assert make_spectrum([1, 0]).entries == ((F(1), 1),)
 
 
 class TestMakeSpectrum:
@@ -133,7 +135,7 @@ class TestTensorPower:
         assert tensor_power(s, 5) == tensor_product(tensor_power(s, 2), tensor_power(s, 3))
 
     def test_invalid_copy_count(self, cat):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="copy count must be >= 1, got 0"):
             tensor_power(cat["eq2"], 0)
 
     def test_memory_cap(self, cat, monkeypatch):
@@ -143,18 +145,21 @@ class TestTensorPower:
         assert err.value.estimated == math.comb(2 + 3, 3)
 
     def test_memory_cap_env_override(self, cat, monkeypatch):
+        # eq2 has 4 distinct values: its square may have C(5, 3) = 10
+        monkeypatch.setenv("LOCC_LAB_MEM_CAP", "10")
+        assert tensor_power(cat["eq2"], 2).dim == 16
         monkeypatch.setenv("LOCC_LAB_MEM_CAP", "5")
-        assert default_memory_cap() == 5
-        with pytest.raises(MemoryCapExceeded):
+        with pytest.raises(MemoryCapExceeded) as err:
             tensor_power(cat["eq2"], 2)
+        assert err.value.cap == 5
         monkeypatch.setenv("LOCC_LAB_MEM_CAP", "0")
-        with pytest.raises(ValueError):
-            default_memory_cap()
+        with pytest.raises(InputError):
+            tensor_power(cat["eq2"], 2)
 
-    def test_memory_cap_env_not_an_integer(self, monkeypatch):
+    def test_memory_cap_env_not_an_integer(self, cat, monkeypatch):
         monkeypatch.setenv("LOCC_LAB_MEM_CAP", "abc")
-        with pytest.raises(ValueError, match="LOCC_LAB_MEM_CAP"):
-            default_memory_cap()
+        with pytest.raises(InputError, match="LOCC_LAB_MEM_CAP"):
+            tensor_power(cat["eq2"], 2)
 
     def test_memory_cap_is_checked_per_power(self, cat, monkeypatch):
         # eq2 has 4 distinct values: powers 1, 2, 3 may have 4, 10, 20

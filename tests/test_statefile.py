@@ -10,15 +10,10 @@ from locc_lab import (
     StateFileError,
     load_fixture,
     load_state,
-    read_state,
     tensor_power,
 )
-from locc_lab.render import (
-    format_decimal,
-    format_decimal_fixed,
-    format_percent,
-    format_rational,
-)
+from locc_lab.render import format_decimal, format_decimal_fixed, format_rational
+from locc_lab.statefile import read_state
 
 # Digit-for-digit pin of the bundled coefficient strings.
 CATALOG_SHA256 = "145b9f89e881dbc1634e9bf7a3bc148bb5131ecd1e066ea70e194bac8fe27a74"
@@ -111,6 +106,33 @@ class TestJsonFormat:
         path.write_text("[0.4, 0.36, 0.14, 0.1]")
         assert load_state(str(path)) == load_fixture("eq2")
 
+    def test_digits_beyond_double_precision_are_kept(self, tmp_path):
+        digits = ("0.33333333333333333333", "0.66666666666666666667")
+        json_path = tmp_path / "state.json"
+        json_path.write_text("[" + ", ".join(digits) + "]")
+        lines_path = tmp_path / "state.txt"
+        lines_path.write_text("\n".join(digits) + "\n")
+        got = load_state(str(json_path))
+        assert got == load_state(str(lines_path))
+        assert got.smallest == F(33333333333333333333, 10**20)
+
+    def test_number_tokens_are_the_file_text(self, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text('[1E-1, 9e-1, 0, "0", NaN]')
+        assert read_state(str(path)) == [
+            ("1E-1", None), ("9e-1", None), ("0", None), ("0", None), ("NaN", None)
+        ]
+
+    def test_unparsable_numbers_name_their_element(self, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text("[0.5, NaN]")
+        with pytest.raises(StateFileError, match="entry 2 'NaN'"):
+            load_state(str(path))
+        # More digits than int() converts by default: still an input error.
+        path.write_text("[" + "1" * 5000 + "]")
+        with pytest.raises(StateFileError, match="cannot parse entry 1"):
+            load_state(str(path))
+
     def test_strings_parse_exactly(self, tmp_path):
         path = tmp_path / "state.json"
         path.write_text('["1/2", "0.25", "0.25"]')
@@ -189,10 +211,3 @@ class TestRendering:
         assert format_decimal_fixed(F(5, 6)) == "0.833333333333333"
         assert format_decimal_fixed(F(4, 5)) == "0.8"
         assert format_decimal_fixed(F(171875, 195872)) == "0.877486317595164"
-
-    def test_percent_rounds_half_even(self):
-        assert format_percent(F(20, 23)) == "87%"
-        assert format_percent(F(72, 73)) == "99%"
-        assert format_percent(F(865, 1000)) == "86%"
-        assert format_percent(F(875, 1000)) == "88%"
-        assert format_percent(F(1)) == "100%"
