@@ -5,14 +5,14 @@ An incomparable pair can be:
   * k-copy incomparable - stuck for n <= k copies, deterministic (one way)
     at n = k+1;
   * strongly incomparable - no copy count and no catalyst ever gives a
-    deterministic conversion in either direction (certified here by a
-    strict inequality pattern of the extreme coefficients);
+    deterministic conversion in either direction (certified here by the
+    extreme-coefficient test failing both ways);
   * undecided - nothing fired within the copy-count budget; an honest
     outcome, because no terminating decision procedure is known for
     "incomparable at every k".
 
-This script classifies the bundled pairs and pokes at the necessary
-condition doing the heavy lifting.
+This script classifies the bundled pairs and pokes at the exact
+obstruction test doing the heavy lifting.
 """
 
 from locc_lab import (
@@ -20,8 +20,7 @@ from locc_lab import (
     classify_pair,
     find_min_deterministic_k,
     load_fixture,
-    multicopy_necessary,
-    strong_incomparability_witness,
+    obstruction,
 )
 
 PAIRS = [("eq2", "eq3"), ("eq6", "eq7"), ("eq8", "eq9"), ("eq12", "eq13")]
@@ -35,7 +34,9 @@ for name_a, name_b in PAIRS:
               f"n <= {got.k}, deterministic at n = {got.k + 1} "
               f"({got.direction.value})")
     elif got.kind is PairKind.STRONGLY_INCOMPARABLE:
-        print(f"  strongly incomparable ({got.witness.value})")
+        forward, backward = got.witness
+        print(f"  strongly incomparable ({forward} fails {name_a} -> {name_b} "
+              f"and {backward} fails {name_b} -> {name_a})")
     else:
         print(f"  {got.kind.value}")
     print()
@@ -44,9 +45,8 @@ print("Why eq12/eq13 is hopeless at any copy count:")
 zeta, omega = load_fixture("eq12"), load_fixture("eq13")
 print("  largest:", zeta.largest, "vs", omega.largest)
 print("  smallest:", zeta.smallest, "vs", omega.smallest)
-print("  necessary condition source->target:", multicopy_necessary(zeta, omega))
-print("  necessary condition target->source:", multicopy_necessary(omega, zeta))
-print("  witness:", strong_incomparability_witness(zeta, omega).name)
+print("  obstruction source->target:", obstruction(zeta, omega))
+print("  obstruction target->source:", obstruction(omega, zeta))
 print()
 print("Both extremes strictly smaller means the extreme test fails in both")
 print("directions for every tensor power and every catalyst, so the pair")

@@ -5,8 +5,9 @@ The pair eq2/eq3 is incomparable copy-by-copy, yet tensoring BOTH sides
 with a suitable rank-2 state chi makes the majorization go through: the
 conversion consumes nothing of chi, which is returned intact.  This script
 verifies the classic catalyst (0.6, 0.4), then finds catalysts by
-exhaustive search over an exact rational grid, and shows the two exact
-tests that reject non-catalyzable pairs without touching the grid.
+exhaustive search over an exact rational grid, and shows the exact
+obstruction test that rejects non-catalyzable pairs without touching the
+grid.
 """
 
 from locc_lab import (
@@ -16,7 +17,7 @@ from locc_lab import (
     load_fixture,
     majorized_by,
     make_spectrum,
-    power_sum_obstruction,
+    obstruction,
     search_catalyst,
     tensor_product,
 )
@@ -54,8 +55,7 @@ print("The exact power-sum test prunes more pairs the same way: for")
 print("eq8 = (.4,.4,.1,.1) and (.4,.3,.3) the sums of squares tie, but the")
 print("sums of cubes do not, so no catalyst of any rank exists:")
 rho = make_spectrum(["0.4", "0.3", "0.3"])
-print("  power_sum_obstruction(eq8, rho) ->",
-      power_sum_obstruction(load_fixture("eq8"), rho))
+print("  obstruction(eq8, rho) ->", obstruction(load_fixture("eq8"), rho))
 print()
-print("A 'none' without either pruning only ever means 'none at this grid")
+print("A 'none' without an obstruction only ever means 'none at this grid")
 print("resolution'; it is never a nonexistence proof.")

@@ -22,7 +22,7 @@ from .majorization import (
 )
 from .multicopy import (
     BaselineNotDeterministic,
-    ExtremalWitness,
+    Obstruction,
     PairClassification,
     PairKind,
     PmaxScan,
@@ -30,10 +30,8 @@ from .multicopy import (
     classify_pair,
     conjecture_scan,
     find_min_deterministic_k,
-    multicopy_necessary,
+    obstruction,
     pmax_scan,
-    power_sum_obstruction,
-    strong_incomparability_witness,
 )
 from .spectrum import (
     InputError,
@@ -56,10 +54,10 @@ __all__ = [
     "CATALOG",
     "CatalystSearchConfig",
     "Comparability",
-    "ExtremalWitness",
     "InputError",
     "MemoryCapExceeded",
     "NegativeEntry",
+    "Obstruction",
     "PairClassification",
     "PairKind",
     "PmaxScan",
@@ -79,11 +77,9 @@ __all__ = [
     "majorized_by",
     "make_spectrum",
     "maximally_entangled",
-    "multicopy_necessary",
+    "obstruction",
     "pmax_scan",
-    "power_sum_obstruction",
     "search_catalyst",
-    "strong_incomparability_witness",
     "tensor_power",
     "tensor_product",
     "vidal_pmax",

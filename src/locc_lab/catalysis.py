@@ -5,9 +5,9 @@ impossible deterministic conversion possible and is returned intact:
 source (x) catalyst majorized by target (x) catalyst even though the bare
 pair is incomparable.  Verification is a single majorization check; the
 search enumerates candidate spectra on an exact rational grid, so every
-hit is a certificate.  Two exact necessary conditions run first, and when
-one fails no catalyst exists at all; otherwise "none" is a statement about
-the grid resolution, never a nonexistence proof.
+hit is a certificate.  An exact obstruction test runs first, and when it
+fires no catalyst exists at all; otherwise "none" is a statement about the
+grid resolution, never a nonexistence proof.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .majorization import majorized_by
-from .multicopy import multicopy_necessary, power_sum_obstruction
+from .multicopy import obstruction
 from .spectrum import (
     InputError,
     SchmidtSpectrum,
@@ -100,19 +100,16 @@ def search_catalyst(
 ) -> SchmidtSpectrum | None:
     """First grid candidate that catalyzes the copies-fold pair, or None.
 
-    The extreme-coefficient test and the power-sum test are necessary
-    conditions for catalyzed conversions too, so a pair failing either is
-    rejected without touching the grid, and that None is exact: no
-    catalyst of any rank exists.  Checking them on the single-copy pair
+    `obstruction` rules out catalyzed conversions too, so a pair it
+    obstructs is rejected without touching the grid, and that None is
+    exact: no catalyst of any rank exists.  Checking the single-copy pair
     is equivalent to checking the k-copy pair, because extremes and power
     sums of a tensor power are powers of those of the base.  A None after
     enumeration means nothing was found at this grid resolution - finer
     grids or larger ranks may still succeed.
     """
     cfg = CatalystSearchConfig() if cfg is None else cfg
-    if not multicopy_necessary(source, target):
-        return None
-    if power_sum_obstruction(source, target) is not None:
+    if obstruction(source, target) is not None:
         return None
     powered_source = tensor_power(source, cfg.copies)
     powered_target = tensor_power(target, cfg.copies)

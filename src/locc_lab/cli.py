@@ -16,14 +16,7 @@ import sys
 
 from .catalysis import CatalystSearchConfig, catalyzes, search_catalyst
 from .majorization import Comparability, compare, vidal_pmax
-from .multicopy import (
-    ExtremalWitness,
-    PairKind,
-    classify_pair,
-    multicopy_necessary,
-    pmax_scan,
-    power_sum_obstruction,
-)
+from .multicopy import PairKind, classify_pair, obstruction, pmax_scan
 from .render import format_decimal, format_decimal_fixed, format_rational
 from .spectrum import InputError, MemoryCapExceeded, entropy, tensor_power
 from .statefile import load_state
@@ -49,12 +42,6 @@ def _relation_text(relation: Comparability) -> str:
     }[relation]
 
 
-def _witness_text(witness: ExtremalWitness) -> str:
-    if witness is ExtremalWitness.SOURCE_EXTREMES_SMALLER:
-        return "largest(A) < largest(B) and smallest(A) < smallest(B)"
-    return "largest(A) > largest(B) and smallest(A) > smallest(B)"
-
-
 def _cmd_compare(args) -> int:
     a = _load(args, "state_a")
     b = _load(args, "state_b")
@@ -71,7 +58,11 @@ def _cmd_classify(args) -> int:
     if result.kind is PairKind.COMPARABLE_SINGLE_COPY:
         print(f"Comparable (single copy): {_relation_text(result.direction)}")
     elif result.kind is PairKind.STRONGLY_INCOMPARABLE:
-        print(f"Strongly incomparable ({_witness_text(result.witness)})")
+        op = "<" if a.largest < b.largest else ">"
+        print(
+            f"Strongly incomparable (largest(A) {op} largest(B) "
+            f"and smallest(A) {op} smallest(B))"
+        )
     elif result.kind is PairKind.K_COPY_INCOMPARABLE:
         direction = (
             "A -> B"
@@ -137,10 +128,8 @@ def _cmd_catalyst(args) -> int:
     found = search_catalyst(source, target, cfg)
     if found is not None:
         print("catalyst: " + " ".join(format_rational(v) for v in found.expand()))
-    elif not multicopy_necessary(source, target):
-        print("none (extreme-coefficient test rules out any catalyst)")
-    elif (alpha := power_sum_obstruction(source, target)) is not None:
-        print(f"none (power-sum test at alpha={alpha} rules out any catalyst)")
+    elif (why := obstruction(source, target)) is not None:
+        print(f"none ({why} rules out any catalyst)")
     else:
         print(f"none at resolution 1/{args.grid_q} (dims {lo}..{hi})")
     return EXIT_OK

@@ -3,6 +3,7 @@
 A pair that is incomparable copy-by-copy may still convert deterministically
 when several copies are transformed collectively; other pairs stay
 incomparable at every copy count and under any catalyst.  This module
+certifies exactly that a direction can never convert (`obstruction`),
 classifies pairs along that axis, finds the minimal deterministic copy
 count, scans the optimal conclusive probability against the copy count
 (with its exponential-decay bound where one applies), and collects
@@ -25,18 +26,24 @@ from .spectrum import (
     tensor_powers,
 )
 
-#: Exponents tried by `power_sum_obstruction`.  On the 78 grid misses of six
-#: seeded catalyst-benchmark passes, 2..3 certify 32, 2..8 certify 36, and
-#: 2..64 certify no more than 2..8.
+#: Exponents of the power-sum test in `obstruction`.  On the 78 grid misses
+#: of six seeded catalyst-benchmark passes, 2..3 certify 32, 2..8 certify
+#: 36, and 2..64 certify no more than 2..8.
 POWER_SUM_ALPHAS = range(2, 9)
 
 
-class ExtremalWitness(Enum):
-    """Strict-inequality pattern of the extreme coefficients that certifies
-    strong incomparability (no copy count, no catalyst, either direction)."""
+@dataclass(frozen=True)
+class Obstruction:
+    """Which exact test rules a direction out (see `obstruction`): the
+    extreme-coefficient test when alpha is None, else the power-sum test
+    at that exponent."""
 
-    SOURCE_EXTREMES_SMALLER = "largest and smallest coefficients both strictly smaller"
-    SOURCE_EXTREMES_LARGER = "largest and smallest coefficients both strictly larger"
+    alpha: int | None = None
+
+    def __str__(self) -> str:
+        if self.alpha is None:
+            return "extreme-coefficient test"
+        return f"power-sum test at alpha={self.alpha}"
 
 
 class PairKind(Enum):
@@ -54,14 +61,15 @@ class PairClassification:
     direction for single-copy comparable pairs and for k-copy pairs (the
     one direction that becomes deterministic), k for k-copy pairs (both
     directions stay incomparable for n <= k, one becomes deterministic at
-    n = k+1), witness for strongly incomparable pairs, searched_up_to for
-    the honest "no answer within budget" outcome.
+    n = k+1), witness for strongly incomparable pairs (the obstructions of
+    a -> b and of b -> a), searched_up_to for the honest "no answer within
+    budget" outcome.
     """
 
     kind: PairKind
     direction: Comparability | None = None
     k: int | None = None
-    witness: ExtremalWitness | None = None
+    witness: tuple[Obstruction, Obstruction] | None = None
     searched_up_to: int | None = None
 
 
@@ -109,61 +117,38 @@ def _padded_extremes(
     return a.largest, b.largest, ad, bd
 
 
-def multicopy_necessary(source: SchmidtSpectrum, target: SchmidtSpectrum) -> bool:
-    """Cheap necessary condition for any many-copy or catalyzed conversion.
+def obstruction(source: SchmidtSpectrum, target: SchmidtSpectrum) -> Obstruction | None:
+    """Exact certificate that source -> target is never deterministic.
 
-    A deterministic source -> target conversion of k copies (for any k,
-    with or without a catalyst) forces largest(source) <= largest(target)
-    and smallest(source) >= smallest(target), extremes taken after zero
-    padding to the common rank.  False therefore rules the direction out
-    for every copy count; true promises nothing.  Its largest-coefficient
-    half is the infinite-exponent limit of `power_sum_obstruction`, which
-    catches pairs this test passes, so search callers run both.
+    Two tests run, each necessary for a deterministic conversion of any
+    number of copies, with or without any catalyst, so a returned
+    `Obstruction` rules the direction out at every copy count; None
+    promises nothing.
+
+    * The extreme-coefficient test: the conversion forces largest(source)
+      <= largest(target) and smallest(source) >= smallest(target), extremes
+      taken after zero padding to the common rank.
+    * The power-sum test: for every integer alpha >= 2 the power sum
+      sum_i p_i**alpha is Schur-convex and multiplicative under the tensor
+      product, so the conversion forces it to be no larger for the source
+      than for the target.  Alphas run through `POWER_SUM_ALPHAS` and the
+      sums are compared as integer numerators over D**alpha,
+      cross-multiplied, with no rounding.  The largest-coefficient half of
+      the extreme test is its infinite-exponent limit.
+
+    The extreme test runs first, and the power-sum test reports the
+    smallest alpha that fires.
     """
     a1, b1, ad, bd = _padded_extremes(source, target)
-    return a1 <= b1 and ad >= bd
-
-
-def power_sum_obstruction(
-    source: SchmidtSpectrum, target: SchmidtSpectrum
-) -> int | None:
-    """Smallest alpha in 2..8 with sum source**alpha > sum target**alpha.
-
-    For every integer alpha >= 2 the power sum sum_i p_i**alpha is
-    Schur-convex and multiplicative under the tensor product, so a
-    deterministic source -> target conversion of any number of copies,
-    with or without any catalyst, forces it to be no larger for the source
-    than for the target.  A returned alpha therefore rules the direction
-    out exactly; None promises nothing.  The sums are compared as integer
-    numerators over D**alpha, cross-multiplied, with no rounding.
-    """
+    if a1 > b1 or ad < bd:
+        return Obstruction()
     sd, source_runs = _integer_runs(source)
     td, target_runs = _integer_runs(target)
     for alpha in POWER_SUM_ALPHAS:
         lhs = sum(m * n**alpha for n, m in source_runs) * td**alpha
         rhs = sum(m * n**alpha for n, m in target_runs) * sd**alpha
         if lhs > rhs:
-            return alpha
-    return None
-
-
-def strong_incomparability_witness(
-    a: SchmidtSpectrum, b: SchmidtSpectrum
-) -> ExtremalWitness | None:
-    """Sufficient condition for strong incomparability, with its witness.
-
-    When both extreme coefficients of one spectrum are strictly below the
-    other's, the extreme test fails in both directions at every copy count
-    and under any catalyst, so the pair can never convert deterministically
-    either way.  Returns which strict pattern fired, or None when the
-    condition does not hold (which decides nothing: the condition is not
-    known to be necessary).
-    """
-    a1, b1, ad, bd = _padded_extremes(a, b)
-    if a1 < b1 and ad < bd:
-        return ExtremalWitness.SOURCE_EXTREMES_SMALLER
-    if a1 > b1 and ad > bd:
-        return ExtremalWitness.SOURCE_EXTREMES_LARGER
+            return Obstruction(alpha)
     return None
 
 
@@ -174,18 +159,16 @@ def find_min_deterministic_k(
 ) -> int | None:
     """Smallest n <= k_max with n copies deterministically convertible.
 
-    Short-circuits to None when the extreme-coefficient test or the
-    power-sum test already rules the direction out at every copy count;
-    otherwise checks majorization of the n-fold powers for n = 1, 2, ...
-    and returns the first hit, or None if the budget is exhausted.  Powers
-    are built one step at a time, so a hit below the first copy count over
-    the memory cap is returned without reaching that count.
+    Short-circuits to None when `obstruction` already rules the direction
+    out at every copy count; otherwise checks majorization of the n-fold
+    powers for n = 1, 2, ... and returns the first hit, or None if the
+    budget is exhausted.  Powers are built one step at a time, so a hit
+    below the first copy count over the memory cap is returned without
+    reaching that count.
     """
     if k_max < 1:
         raise InputError(f"k_max must be >= 1, got {k_max}")
-    if not multicopy_necessary(source, target):
-        return None
-    if power_sum_obstruction(source, target) is not None:
+    if obstruction(source, target) is not None:
         return None
     # The range comes first so that zip stops before asking either
     # generator for a power beyond k_max.
@@ -204,21 +187,24 @@ def classify_pair(
 ) -> PairClassification:
     """Classify a pair by its many-copy transformation behaviour.
 
-    Single-copy comparable pairs are reported as such.  Among incomparable
-    pairs, the strict extreme-coefficient pattern certifies strong
-    incomparability outright; otherwise the minimal deterministic copy
-    count is searched, a -> b first and then b -> a (the order is fixed
-    for determinism; at most one direction can ever succeed, since both
-    succeeding would force the spectra to be equal).  Pairs that resolve
-    neither way within k_max copies are honestly reported as undecided:
-    no terminating procedure is known for "incomparable at every k"
-    outside the sufficient condition.
+    Single-copy comparable pairs are reported as such.  An incomparable
+    pair whose extreme-coefficient test fails in both directions (both
+    extremes of one spectrum strictly below the other's) is strongly
+    incomparable: no copy count and no catalyst converts it either way.
+    Otherwise the minimal deterministic copy count is searched, a -> b
+    first and then b -> a (the order is fixed for determinism; at most one
+    direction can ever succeed, since both succeeding would force the
+    spectra to be equal).  Pairs that resolve neither way within k_max
+    copies are honestly reported as undecided: no terminating procedure is
+    known for "incomparable at every k" outside the sufficient condition.
     """
+    if k_max < 1:
+        raise InputError(f"k_max must be >= 1, got {k_max}")
     relation = compare(a, b)
     if relation != Comparability.INCOMPARABLE:
         return PairClassification(PairKind.COMPARABLE_SINGLE_COPY, direction=relation)
-    witness = strong_incomparability_witness(a, b)
-    if witness is not None:
+    witness = (obstruction(a, b), obstruction(b, a))
+    if witness == (Obstruction(), Obstruction()):
         return PairClassification(PairKind.STRONGLY_INCOMPARABLE, witness=witness)
     n = find_min_deterministic_k(a, b, k_max)
     if n is not None:

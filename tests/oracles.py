@@ -4,7 +4,9 @@ Each one works on the fully expanded coefficient vector and shares no
 code with the package's compressed paths: powers enumerate every product
 and hand the list to `make_spectrum`, and the majorization and Vidal
 checks scan every prefix.  They are deliberately exponential, so the
-power oracle is capped.
+power oracle is capped.  `strict_extremes` states directly the strict
+extreme-coefficient pattern that `classify_pair` reports as strong
+incomparability.
 """
 
 import itertools
@@ -76,3 +78,14 @@ def vidal_pmax_dense(source: SchmidtSpectrum, target: SchmidtSpectrum) -> Fracti
         tail_s -= src[l - 1]
         tail_t -= tgt[l - 1]
     return best
+
+
+def strict_extremes(a: SchmidtSpectrum, b: SchmidtSpectrum) -> bool:
+    """Both extreme coefficients of one spectrum strictly below the
+    other's, on the expanded vectors zero-padded to the common rank."""
+    xs = list(a.expand())
+    ys = list(b.expand())
+    top = max(len(xs), len(ys))
+    xs += [Fraction(0)] * (top - len(xs))
+    ys += [Fraction(0)] * (top - len(ys))
+    return (xs[0] < ys[0] and xs[-1] < ys[-1]) or (xs[0] > ys[0] and xs[-1] > ys[-1])

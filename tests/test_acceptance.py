@@ -11,6 +11,7 @@ from fractions import Fraction as F
 
 from locc_lab import (
     Comparability,
+    Obstruction,
     PairKind,
     catalyzes,
     classify_pair,
@@ -21,10 +22,9 @@ from locc_lab import (
     majorized_by,
     make_spectrum,
     maximally_entangled,
-    multicopy_necessary,
+    obstruction,
     pmax_scan,
     search_catalyst,
-    strong_incomparability_witness,
     tensor_power,
     tensor_product,
     vidal_pmax,
@@ -101,7 +101,7 @@ def test_criterion_6_catalysis(cat):
     found = search_catalyst(cat["eq2"], cat["eq3"], cfg)
     assert found is not None
     assert catalyzes(cat["eq2"], cat["eq3"], found)
-    assert not multicopy_necessary(cat["eq12"], cat["eq13"])  # short-circuit fires
+    assert obstruction(cat["eq12"], cat["eq13"]) == Obstruction()  # short-circuit fires
     assert search_catalyst(cat["eq12"], cat["eq13"]) is None
     report(6, "chi verified, search finds a valid catalyst, impossible pair pruned")
 
@@ -154,7 +154,7 @@ def test_criterion_9_three_by_three_incomparable_pairs_are_strong():
         if compare(a, b) is not Comparability.INCOMPARABLE:
             continue
         flagged += 1
-        assert strong_incomparability_witness(a, b) is not None
+        assert classify_pair(a, b).kind is PairKind.STRONGLY_INCOMPARABLE
     report(9, f"1000 incomparable 3x3 pairs all carry a strictness witness "
               f"(from {attempts} draws)")
 

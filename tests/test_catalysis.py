@@ -8,12 +8,13 @@ import pytest
 from locc_lab import (
     CatalystSearchConfig,
     InputError,
+    Obstruction,
     catalyzes,
     grid_candidates,
     majorized_by,
     make_spectrum,
     maximally_entangled,
-    multicopy_necessary,
+    obstruction,
     search_catalyst,
     tensor_power,
 )
@@ -34,7 +35,7 @@ class TestCatalyzes:
     def test_impossible_pair_never_catalyzed(self, cat):
         # exhaustive q=8 grid, pruning deliberately bypassed
         cfg = CatalystSearchConfig(min_dim=2, max_dim=3, grid_denominator=8)
-        assert not multicopy_necessary(cat["eq12"], cat["eq13"])
+        assert obstruction(cat["eq12"], cat["eq13"]) == Obstruction()
         for chi in grid_candidates(cfg):
             assert not catalyzes(cat["eq12"], cat["eq13"], chi)
 

@@ -92,6 +92,12 @@ class TestClassify:
         assert "Strongly incomparable" in out
         assert "largest(A) < largest(B)" in out
 
+    def test_strongly_incomparable_lines_in_both_orders(self, capsys):
+        for a, b, op in (("eq12", "eq13", "<"), ("eq13", "eq12", ">")):
+            line = (f"Strongly incomparable (largest(A) {op} largest(B) "
+                    f"and smallest(A) {op} smallest(B))\n")
+            assert run(capsys, "classify", a, b) == (0, line, "")
+
     def test_undecided_within_budget(self, capsys):
         code, out, _ = run(capsys, "classify", "eq8", "eq9", "--k-max", "3")
         assert code == 0
@@ -255,6 +261,10 @@ class TestExitCodes:
          "error: grid denominator must be >= the largest rank\n"),
         (["classify", "eq2", "eq3"], "abc",
          "error: LOCC_LAB_MEM_CAP must be a positive integer, got 'abc'\n"),
+        (["classify", "eq3", "eq13", "--k-max", "0"], None,
+         "error: k_max must be >= 1, got 0\n"),
+        (["classify", "eq12", "eq13", "--k-max", "0"], None,
+         "error: k_max must be >= 1, got 0\n"),
     ])
     def test_bad_input_exits_2(self, capsys, monkeypatch, argv, env, err):
         if env is not None:

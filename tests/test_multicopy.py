@@ -8,19 +8,18 @@ import pytest
 from locc_lab import (
     BaselineNotDeterministic,
     Comparability,
-    ExtremalWitness,
     InputError,
+    Obstruction,
     PairKind,
     PmaxScan,
     PmaxScanRow,
     classify_pair,
     conjecture_scan,
     find_min_deterministic_k,
+    make_spectrum,
     maximally_entangled,
-    multicopy_necessary,
+    obstruction,
     pmax_scan,
-    power_sum_obstruction,
-    strong_incomparability_witness,
     vidal_pmax,
 )
 from conftest import random_spectrum
@@ -38,34 +37,51 @@ OMEGA_TO_ZETA = (
 
 
 class TestMulticopyNecessary:
+    """`obstruction`: the extreme-coefficient test first, then power sums."""
+
     def test_strongly_incomparable_pair_fails(self, cat):
-        assert not multicopy_necessary(cat["eq12"], cat["eq13"])
+        assert obstruction(cat["eq12"], cat["eq13"]) == Obstruction()
 
     def test_rank_padded_pair_passes(self, cat):
         # largest 2/5 <= 1/2 and smallest 1/10 >= 0 (padded)
-        assert multicopy_necessary(cat["eq2"], cat["eq3"])
+        assert obstruction(cat["eq2"], cat["eq3"]) is None
 
     def test_identity(self, cat):
         for s in cat.values():
-            assert multicopy_necessary(s, s)
+            assert obstruction(s, s) is None
+
+    def test_power_sum_test_names_its_alpha(self, cat):
+        # the extreme test passes and the sums of squares tie (0.34 both);
+        # the sums of cubes do not
+        rho = make_spectrum(["0.4", "0.3", "0.3"])
+        assert obstruction(cat["eq8"], rho) == Obstruction(3)
 
 
 class TestStrongIncomparabilityWitness:
+    """The extreme-coefficient test failing both ways certifies strong
+    incomparability; the witness holds both directions' obstructions."""
+
     def test_smaller_extremes_branch(self, cat):
-        w = strong_incomparability_witness(cat["eq12"], cat["eq13"])
-        assert w is ExtremalWitness.SOURCE_EXTREMES_SMALLER
+        got = classify_pair(cat["eq12"], cat["eq13"], 8)
+        assert cat["eq12"].largest < cat["eq13"].largest
+        assert got.kind is PairKind.STRONGLY_INCOMPARABLE
+        assert got.witness == (Obstruction(), Obstruction())
 
     def test_larger_extremes_branch(self, cat):
-        w = strong_incomparability_witness(cat["eq13"], cat["eq12"])
-        assert w is ExtremalWitness.SOURCE_EXTREMES_LARGER
+        got = classify_pair(cat["eq13"], cat["eq12"], 8)
+        assert cat["eq13"].largest > cat["eq12"].largest
+        assert got.kind is PairKind.STRONGLY_INCOMPARABLE
+        assert got.witness == (Obstruction(), Obstruction())
 
     def test_padded_smallest_blocks_the_branch(self, cat):
-        # eq2's padded comparison has smallest 1/10 > 0, so neither strict
-        # pattern holds even though the largest coefficients differ
-        assert strong_incomparability_witness(cat["eq2"], cat["eq3"]) is None
+        # eq2's padded comparison has smallest 1/10 > 0, so only eq3 -> eq2
+        # fails the extreme test even though the largest coefficients differ
+        a, b = cat["eq2"], cat["eq3"]
+        assert (obstruction(a, b), obstruction(b, a)) == (None, Obstruction())
+        assert classify_pair(a, b, 8).kind is PairKind.K_COPY_INCOMPARABLE
 
     def test_no_witness_for_identical(self, cat):
-        assert strong_incomparability_witness(cat["eq7"], cat["eq7"]) is None
+        assert classify_pair(cat["eq7"], cat["eq7"], 8).witness is None
 
 
 class TestFindMinDeterministicK:
@@ -90,7 +106,9 @@ class TestFindMinDeterministicK:
 
     def test_every_budget_check_is_an_input_error(self, cat):
         a, b = cat["eq2"], cat["eq3"]
+        strong = cat["eq12"], cat["eq13"]
         for call, message in (
+            (lambda: classify_pair(*strong, 0), "k_max must be >= 1, got 0"),
             (lambda: pmax_scan(a, b, 0), "k_max must be >= 1, got 0"),
             (lambda: conjecture_scan(a, b, 0, 5), "k must be >= 1, got 0"),
             (lambda: conjecture_scan(a, b, 1, 0), "n_max must be >= 1, got 0"),
@@ -107,8 +125,7 @@ class TestFindMinDeterministicK:
             n = find_min_deterministic_k(a, b, 4)
             if n is not None:
                 found += 1
-                assert multicopy_necessary(a, b)
-                assert power_sum_obstruction(a, b) is None
+                assert obstruction(a, b) is None
         assert found > 20
 
     def test_never_both_directions(self):
@@ -143,7 +160,7 @@ class TestClassifyPair:
     def test_strongly_incomparable(self, cat):
         got = classify_pair(cat["eq12"], cat["eq13"], 8)
         assert got.kind is PairKind.STRONGLY_INCOMPARABLE
-        assert got.witness is ExtremalWitness.SOURCE_EXTREMES_SMALLER
+        assert got.witness == (Obstruction(), Obstruction())
 
     def test_equivalent(self, cat):
         got = classify_pair(cat["eq7"], cat["eq7"], 8)

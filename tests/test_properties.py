@@ -2,27 +2,40 @@
 
 from fractions import Fraction
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from locc_lab import (
     CatalystSearchConfig,
+    Obstruction,
+    PairKind,
     SchmidtSpectrum,
     catalyzes,
+    classify_pair,
     entropy,
     find_min_deterministic_k,
     grid_candidates,
+    load_fixture,
     majorized_by,
     make_spectrum,
     maximally_entangled,
+    obstruction,
     pmax_scan,
-    power_sum_obstruction,
     tensor_power,
     tensor_product,
     vidal_pmax,
 )
 from locc_lab.spectrum import tensor_powers
-from oracles import majorized_by_dense, tensor_power_dense, vidal_pmax_dense
+from oracles import (
+    majorized_by_dense,
+    strict_extremes,
+    tensor_power_dense,
+    vidal_pmax_dense,
+)
+
+
+#: Passes the extreme test, obstructed at alpha=3 (the squares' sums tie).
+POWER_SUM_PAIR = (load_fixture("eq8"), make_spectrum(["0.4", "0.3", "0.3"]))
 
 
 @st.composite
@@ -135,12 +148,24 @@ def test_entropy_additive(a, b):
 
 @settings(max_examples=50)
 @given(spectra(max_dim=4), spectra(max_dim=4), st.integers(3, 12))
-def test_power_sum_obstruction_is_sound(x, y, q):
-    assume(power_sum_obstruction(x, y) is not None)
+@example(load_fixture("eq12"), load_fixture("eq13"), 8)  # extreme test
+@example(*POWER_SUM_PAIR, 8)
+def test_obstruction_is_sound(x, y, q):
+    assume(obstruction(x, y) is not None)
     cfg = CatalystSearchConfig(min_dim=2, max_dim=3, grid_denominator=q)
     assert not any(catalyzes(x, y, c) for c in grid_candidates(cfg))
     for k in range(1, 4):
         assert not majorized_by_dense(tensor_power_dense(x, k), tensor_power_dense(y, k))
+
+
+@given(spectra(max_dim=5), spectra(max_dim=5))
+@example(*POWER_SUM_PAIR)  # obstructed both ways, not both by the extreme test
+def test_strong_incomparability_is_the_strict_extreme_pattern(a, b):
+    got = classify_pair(a, b, 2)
+    assert (got.kind is PairKind.STRONGLY_INCOMPARABLE) == strict_extremes(a, b)
+    if got.kind is PairKind.STRONGLY_INCOMPARABLE:
+        assert got.witness == (obstruction(a, b), obstruction(b, a))
+        assert got.witness == (Obstruction(), Obstruction())
 
 
 @settings(max_examples=50)
