@@ -7,7 +7,7 @@ behaviour, and verifies or searches for entanglement catalysts - all in
 exact rational arithmetic on multiplicity-compressed Schmidt spectra.
 """
 
-from .catalog import CATALOG, load_fixture
+from .catalog import load_fixture
 from .catalysis import (
     CatalystSearchConfig,
     catalyzes,
@@ -51,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaselineNotDeterministic",
-    "CATALOG",
     "CatalystSearchConfig",
     "Comparability",
     "InputError",

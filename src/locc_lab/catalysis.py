@@ -13,19 +13,13 @@ grid resolution, never a nonexistence proof.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 from .majorization import majorized_by
 from .multicopy import obstruction
-from .spectrum import (
-    InputError,
-    SchmidtSpectrum,
-    _trusted_spectrum,
-    tensor_power,
-    tensor_product,
-)
+from .spectrum import InputError, SchmidtSpectrum, tensor_power, tensor_product
 
 
 @dataclass(frozen=True)
@@ -82,15 +76,17 @@ def _descending_compositions(
 def grid_candidates(cfg: CatalystSearchConfig) -> Iterator[SchmidtSpectrum]:
     """All candidate catalysts of the configured grid, in search order:
     ranks ascending, and within a rank the ordered distributions
-    (v1 >= ... >= vc > 0, sum 1, multiples of 1/q) flattest first."""
+    (v1 >= ... >= vc > 0, sum 1, multiples of 1/q) flattest first.  The
+    parts and q are divided by their gcd, so each candidate is built over
+    its least denominator."""
     q = cfg.grid_denominator
     for rank in range(cfg.min_dim, cfg.max_dim + 1):
         for parts in _descending_compositions(q, rank):
+            g = math.gcd(q, *parts)
             runs = tuple(
-                (Fraction(p, q), len(list(group)))
-                for p, group in itertools.groupby(parts)
+                (p // g, len(list(group))) for p, group in itertools.groupby(parts)
             )
-            yield _trusted_spectrum(runs, rank)
+            yield SchmidtSpectrum(q // g, runs, rank)
 
 
 def search_catalyst(

@@ -18,13 +18,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .majorization import Comparability, compare, majorized_by, vidal_pmax
-from .spectrum import (
-    InputError,
-    SchmidtSpectrum,
-    _integer_runs,
-    tensor_power,
-    tensor_powers,
-)
+from .spectrum import InputError, SchmidtSpectrum, tensor_power, tensor_powers
 
 #: Exponents of the power-sum test in `obstruction`.  On the 78 grid misses
 #: of six seeded catalyst-benchmark passes, 2..3 certify 32, 2..8 certify
@@ -142,11 +136,10 @@ def obstruction(source: SchmidtSpectrum, target: SchmidtSpectrum) -> Obstruction
     a1, b1, ad, bd = _padded_extremes(source, target)
     if a1 > b1 or ad < bd:
         return Obstruction()
-    sd, source_runs = _integer_runs(source)
-    td, target_runs = _integer_runs(target)
+    sd, td = source.denominator, target.denominator
     for alpha in POWER_SUM_ALPHAS:
-        lhs = sum(m * n**alpha for n, m in source_runs) * td**alpha
-        rhs = sum(m * n**alpha for n, m in target_runs) * sd**alpha
+        lhs = sum(m * n**alpha for n, m in source.runs) * td**alpha
+        rhs = sum(m * n**alpha for n, m in target.runs) * sd**alpha
         if lhs > rhs:
             return Obstruction(alpha)
     return None

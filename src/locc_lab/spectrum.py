@@ -1,19 +1,19 @@
 """Exact Schmidt spectra with multiplicity compression.
 
 For transformation questions a bipartite pure state is fully described by
-its Schmidt probabilities (squared Schmidt coefficients).  We keep them as
-exact rationals, sorted descending, with equal values merged into
-(value, multiplicity) runs.  The compression is what makes many-copy
-analysis tractable: the k-th tensor power of a state with d coefficients
-has d**k of them, but only O(k**(m-1)) distinct values when the base
-spectrum has m distinct ones, so the compressed form stays small while the
-dense vector explodes.
+its Schmidt probabilities (squared Schmidt coefficients).  A spectrum
+stores them in one integer form: a denominator D and (numerator,
+multiplicity) runs, numerators strictly descending, so every probability
+is an exact rational n / D and equal values are merged.  The compression
+is what makes many-copy analysis tractable: the k-th tensor power of a
+state with d coefficients has d**k of them, but only O(k**(m-1)) distinct
+values when the base spectrum has m distinct ones, so the compressed form
+stays small while the dense vector explodes.
 
-Tensor products and powers run in one integer form: the values of a
-spectrum are integer numerators over one common denominator D, a product
-step multiplies numerators and merges equal ones, and the n-th power is
-the (n-1)-th times the base, over D**n.  Each distinct result becomes a
-`Fraction` once, when the spectrum is built.
+Tensor products and powers stay in that form: a product step multiplies
+numerators and merges equal ones over the product of the denominators,
+and the n-th power is the (n-1)-th times the base, over D**n.  `entries`
+is the exact `Fraction` view of the runs, for sweeps and rendering.
 
 Floating point appears nowhere except `entropy`; every other operation is
 exact, so majorization decisions near ties are decided correctly.
@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
@@ -85,44 +86,58 @@ def _memory_cap() -> int:
 
 @dataclass(frozen=True)
 class SchmidtSpectrum:
-    """Compressed Schmidt spectrum.
+    """Compressed Schmidt spectrum in integer form.
 
-    entries: (value, multiplicity) runs, values strictly descending and
-    pairwise distinct, every value in (0, 1], multiplicities positive.
-    dim: total coefficient count including multiplicities, i.e. the
-    Schmidt rank after zero-stripping.  The values weighted by their
-    multiplicities sum to exactly 1.
+    denominator: positive integer D.  runs: (numerator, multiplicity)
+    pairs, numerators positive and strictly descending, multiplicities
+    positive; the probability n / D occurs m times.  The numerators
+    weighted by their multiplicities sum to exactly D, and
+    gcd(D, n_1, ..., n_r) == 1, so equal spectra have equal fields.  dim:
+    total coefficient count including multiplicities, i.e. the Schmidt
+    rank after zero-stripping.
 
-    Instances are immutable and safe to share.  Calling the constructor
-    directly validates every invariant above; `make_spectrum` is the usual
-    way in.  The package's own builders (`make_spectrum` after its checks,
-    tensor products and powers, `maximally_entangled`, the catalyst grid)
-    produce the invariants by construction and skip this validation.
+    Instances are immutable and safe to share.  The constructor validates
+    every invariant above, and every builder in the package goes through
+    it; `make_spectrum` is the usual way in.  `entries`, `largest` and
+    `smallest` are exact `Fraction` views of the runs.
     """
 
-    entries: tuple[tuple[Fraction, int], ...]
+    denominator: int
+    runs: tuple[tuple[int, int], ...]
     dim: int
 
     def __post_init__(self):
-        if not self.entries:
-            raise ValueError("spectrum must have at least one entry")
-        total = Fraction(0)
+        if not self.runs:
+            raise ValueError("spectrum must have at least one run")
+        total = count = 0
         previous = None
-        count = 0
-        for value, mult in self.entries:
-            if not (0 < value <= 1):
-                raise ValueError(f"value {value} outside (0, 1]")
+        for n, mult in self.runs:
+            if n < 1:
+                raise ValueError(f"numerator {n} must be positive")
             if mult < 1:
                 raise ValueError(f"multiplicity {mult} must be positive")
-            if previous is not None and value >= previous:
-                raise ValueError("values must be strictly descending")
-            previous = value
-            total += value * mult
+            if previous is not None and n >= previous:
+                raise ValueError("numerators must be strictly descending")
+            previous = n
+            total += n * mult
             count += mult
-        if total != 1:
-            raise SumNotOne(total)
+        if total != self.denominator:
+            raise ValueError(f"numerators sum to {total}, not to {self.denominator}")
+        if math.gcd(self.denominator, *(n for n, _ in self.runs)) != 1:
+            raise ValueError(f"denominator {self.denominator} is not the least one")
         if count != self.dim:
             raise ValueError(f"dim {self.dim} != sum of multiplicities {count}")
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Fraction, int], ...]:
+        """(value, multiplicity) runs, values strictly descending; built on
+        first use and kept."""
+        # A list, not a generator: tuple() of a generator starts from a
+        # size-10 tuple and resizes it, so the free lists of the final sizes
+        # are never drawn from and keep filling (+1.9 MiB peak RSS measured
+        # on the catalyst benchmark).
+        d = self.denominator
+        return tuple([(Fraction(n, d), m) for n, m in self.runs])
 
     @property
     def largest(self) -> Fraction:
@@ -141,16 +156,6 @@ class SchmidtSpectrum:
         return f"SchmidtSpectrum(dim={self.dim}: {runs})"
 
 
-def _trusted_spectrum(
-    entries: tuple[tuple[Fraction, int], ...], dim: int
-) -> SchmidtSpectrum:
-    """Spectrum whose invariants the caller guarantees; skips validation."""
-    spectrum = object.__new__(SchmidtSpectrum)
-    object.__setattr__(spectrum, "entries", entries)
-    object.__setattr__(spectrum, "dim", dim)
-    return spectrum
-
-
 def make_spectrum(probs: Iterable[CoefficientLike]) -> SchmidtSpectrum:
     """Canonicalize a probability list into a compressed spectrum.
 
@@ -162,7 +167,8 @@ def make_spectrum(probs: Iterable[CoefficientLike]) -> SchmidtSpectrum:
     should be supplied as strings or Fractions instead.
 
     Sorts descending, merges equal values into multiplicities, and strips
-    zeros (the original padded length is deliberately not kept).  Raises
+    zeros (the original padded length is deliberately not kept).  The
+    denominator is the least common one of the values.  Raises
     NegativeEntry for negative input and SumNotOne when the exact sum
     differs from 1.
     """
@@ -178,18 +184,15 @@ def make_spectrum(probs: Iterable[CoefficientLike]) -> SchmidtSpectrum:
         if value == 0:
             continue
         merged[value] = merged.get(value, 0) + 1
-    entries = tuple(sorted(merged.items(), reverse=True))
-    return _trusted_spectrum(entries, sum(merged.values()))
+    denominator = math.lcm(*(v.denominator for v in merged))
+    runs = tuple(sorted(
+        ((v.numerator * (denominator // v.denominator), m) for v, m in merged.items()),
+        reverse=True,
+    ))
+    return SchmidtSpectrum(denominator, runs, sum(merged.values()))
 
 
-def _integer_runs(s: SchmidtSpectrum) -> tuple[int, list[tuple[int, int]]]:
-    """(D, [(n, mult), ...]) with every value of s equal to n / D."""
-    denominator = math.lcm(*(v.denominator for v, _ in s.entries))
-    return denominator, [(v.numerator * (denominator // v.denominator), m)
-                         for v, m in s.entries]
-
-
-def _product_step(acc: dict[int, int], runs: list[tuple[int, int]]) -> dict[int, int]:
+def _product_step(acc: dict[int, int], runs: tuple[tuple[int, int], ...]) -> dict[int, int]:
     """Numerator -> multiplicity map of all pairwise products of acc's
     numerators with those of runs, equal products merged."""
     out: dict[int, int] = {}
@@ -201,16 +204,10 @@ def _product_step(acc: dict[int, int], runs: list[tuple[int, int]]) -> dict[int,
 
 
 def _from_numerators(acc: dict[int, int], denominator: int) -> SchmidtSpectrum:
-    """Spectrum with values n / denominator of multiplicity acc[n]; the
-    caller guarantees that they sum to exactly 1."""
-    # A list, not a generator: tuple() of a generator starts from a
-    # size-10 tuple and resizes it, so the free lists of the final sizes
-    # are never drawn from and keep filling (+1.9 MiB peak RSS measured
-    # on the catalyst benchmark).
-    entries = tuple(
-        [(Fraction(n, denominator), m) for n, m in sorted(acc.items(), reverse=True)]
+    """Spectrum with values n / denominator of multiplicity acc[n]."""
+    return SchmidtSpectrum(
+        denominator, tuple(sorted(acc.items(), reverse=True)), sum(acc.values())
     )
-    return _trusted_spectrum(entries, sum(acc.values()))
 
 
 def _check_power_cap(a: SchmidtSpectrum, k: int, cap: int) -> None:
@@ -219,25 +216,26 @@ def _check_power_cap(a: SchmidtSpectrum, k: int, cap: int) -> None:
     The k-th power's distinct values come from the multisets of k base
     values, so C(k+m-1, m-1) for m distinct base values bounds them.
     """
-    m = len(a.entries)
+    m = len(a.runs)
     estimated = math.comb(k + m - 1, m - 1)
     if estimated > cap:
         raise MemoryCapExceeded(estimated, cap)
 
 
 def tensor_product(a: SchmidtSpectrum, b: SchmidtSpectrum) -> SchmidtSpectrum:
-    """Spectrum of the joint state: all pairwise products, merged.
+    """Spectrum of the joint state: all pairwise products, merged, over
+    the product of the two denominators.
 
     Fails up front with MemoryCapExceeded when the number of run pairs,
     which bounds the distinct output entries, exceeds the memory cap.
     """
     cap = _memory_cap()
-    estimated = len(a.entries) * len(b.entries)
+    estimated = len(a.runs) * len(b.runs)
     if estimated > cap:
         raise MemoryCapExceeded(estimated, cap)
-    da, runs_a = _integer_runs(a)
-    db, runs_b = _integer_runs(b)
-    return _from_numerators(_product_step(dict(runs_a), runs_b), da * db)
+    return _from_numerators(
+        _product_step(dict(a.runs), b.runs), a.denominator * b.denominator
+    )
 
 
 def tensor_powers(a: SchmidtSpectrum, k_max: int) -> Iterator[SchmidtSpectrum]:
@@ -249,40 +247,38 @@ def tensor_powers(a: SchmidtSpectrum, k_max: int) -> Iterator[SchmidtSpectrum]:
     that stops early never trips the cap of a power it did not ask for.
     """
     cap = _memory_cap()
-    denominator, runs = _integer_runs(a)
     acc = {1: 1}
     for n in range(1, k_max + 1):
         _check_power_cap(a, n, cap)
-        acc = _product_step(acc, runs)
-        yield _from_numerators(acc, denominator**n)
+        acc = _product_step(acc, a.runs)
+        yield _from_numerators(acc, a.denominator**n)
 
 
 def tensor_power(a: SchmidtSpectrum, k: int) -> SchmidtSpectrum:
     """Compressed spectrum of k copies of a state.
 
     Multiplies the integer numerators of the base into an accumulator k
-    times, merging equal products after every step, and converts only the
-    final power to `Fraction` values.  C(k+m-1, m-1), the number of
-    multisets of k values drawn from the m distinct base values, bounds
-    every intermediate and the final distinct-entry count; if it exceeds
-    the memory cap (LOCC_LAB_MEM_CAP, default 2 million) the call fails up
-    front with MemoryCapExceeded instead of thrashing.
+    times, merging equal products after every step, over D**k.
+    C(k+m-1, m-1), the number of multisets of k values drawn from the m
+    distinct base values, bounds every intermediate and the final
+    distinct-entry count; if it exceeds the memory cap (LOCC_LAB_MEM_CAP,
+    default 2 million) the call fails up front with MemoryCapExceeded
+    instead of thrashing.
     """
     if k < 1:
         raise InputError(f"copy count must be >= 1, got {k}")
     _check_power_cap(a, k, _memory_cap())
-    denominator, runs = _integer_runs(a)
     acc = {1: 1}
     for _ in range(k):
-        acc = _product_step(acc, runs)
-    return _from_numerators(acc, denominator**k)
+        acc = _product_step(acc, a.runs)
+    return _from_numerators(acc, a.denominator**k)
 
 
 def maximally_entangled(d: int) -> SchmidtSpectrum:
     """Uniform spectrum (1/d, ..., 1/d) of rank d."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    return _trusted_spectrum(((Fraction(1, d), d),), d)
+    return SchmidtSpectrum(d, ((1, d),), d)
 
 
 def entropy(a: SchmidtSpectrum) -> float:

@@ -1,7 +1,8 @@
 """Exact parsing of state files.
 
-A state file is UTF-8 text holding Schmidt coefficients either one per
-line (with `#` comments and blank lines allowed) or as a single JSON list.
+A state file is UTF-8 text (a leading byte-order mark is ignored) holding
+Schmidt coefficients either one per line (with `#` comments and blank
+lines allowed) or as a single JSON list.
 Every coefficient is parsed exactly as a rational - "0.36" becomes 9/25,
 never a binary double - which is the contract that makes analyses of
 decimal-specified states bit-reproducible.  Fractions like "9/25" and
@@ -83,7 +84,7 @@ def read_state(path_or_name: str) -> list[tuple[str, int | None]]:
     """
     if os.path.exists(path_or_name):
         try:
-            with open(path_or_name, encoding="utf-8") as handle:
+            with open(path_or_name, encoding="utf-8-sig") as handle:
                 text = handle.read()
         except OSError as exc:
             raise StateFileError(path_or_name, f"cannot read: {exc}") from None

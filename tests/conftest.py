@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, settings
 
-from locc_lab import CATALOG, load_fixture, make_spectrum
+from locc_lab import load_fixture, make_spectrum
+from locc_lab.catalog import CATALOG
 
 settings.register_profile(
     "locc-lab",

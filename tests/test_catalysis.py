@@ -112,6 +112,10 @@ class TestGrid:
             (F(9, 10), F(1, 10)),
         ]
 
+    def test_first_candidate_is_maximally_entangled(self):
+        cfg = CatalystSearchConfig(min_dim=2, max_dim=2, grid_denominator=20)
+        assert next(grid_candidates(cfg)) == maximally_entangled(2)
+
     def test_ranks_ascend_and_distributions_are_valid(self):
         cfg = CatalystSearchConfig(min_dim=2, max_dim=4, grid_denominator=6)
         dims = []

@@ -171,8 +171,10 @@ def test_strong_incomparability_is_the_strict_extreme_pattern(a, b):
 @settings(max_examples=50)
 @given(spectra(max_dim=4), spectra(max_dim=4), st.integers(4, 12))
 def test_trusted_builders_pass_validation(a, b, q):
-    # internal builders skip the constructor's checks; run them here
+    # every builder yields the canonical form that make_spectrum gives
     built = [tensor_product(a, b), tensor_power(a, 3), *tensor_powers(b, 3)]
     built += grid_candidates(CatalystSearchConfig(min_dim=2, max_dim=4, grid_denominator=q))
+    built += [a, make_spectrum(b.expand()), maximally_entangled(q)]
     for s in built:
-        assert SchmidtSpectrum(s.entries, s.dim) == s
+        assert SchmidtSpectrum(s.denominator, s.runs, s.dim) == s
+        assert make_spectrum(s.expand()) == s

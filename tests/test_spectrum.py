@@ -72,10 +72,15 @@ class TestMakeSpectrum:
             assert make_spectrum(s.expand()) == s
 
     def test_direct_construction_validates(self):
+        assert SchmidtSpectrum(4, ((2, 1), (1, 2)), 3) == make_spectrum(["0.5", "0.25", "0.25"])
         with pytest.raises(ValueError):
-            SchmidtSpectrum(((F(1, 4), 2), (F(1, 2), 1)), 3)  # not descending
+            SchmidtSpectrum(4, ((1, 2), (2, 1)), 3)  # not descending
         with pytest.raises(ValueError):
-            SchmidtSpectrum(((F(1, 2), 2),), 3)  # dim mismatch
+            SchmidtSpectrum(2, ((1, 2),), 3)  # dim mismatch
+        with pytest.raises(ValueError):
+            SchmidtSpectrum(4, ((2, 2),), 2)  # denominator not the least one
+        with pytest.raises(ValueError):
+            SchmidtSpectrum(4, ((2, 1), (1, 1)), 2)  # numerators sum to 3
 
 
 class TestTensorProduct:

@@ -6,12 +6,13 @@ from fractions import Fraction as F
 import pytest
 
 from locc_lab import (
-    CATALOG,
     StateFileError,
     load_fixture,
     load_state,
+    maximally_entangled,
     tensor_power,
 )
+from locc_lab.catalog import CATALOG
 from locc_lab.render import format_decimal, format_decimal_fixed, format_rational
 from locc_lab.statefile import read_state
 
@@ -86,6 +87,11 @@ class TestLineFormat:
             load_state(str(path))
         assert str(path) in str(err.value)
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        path = tmp_path / "state.txt"
+        path.write_bytes(b"\xef\xbb\xbf0.5\n0.5\n")
+        assert load_state(str(path)) == maximally_entangled(2)
+
     def test_two_tokens_on_a_line_rejected(self, tmp_path):
         path = tmp_path / "state.txt"
         path.write_text("0.5 0.5\n")
@@ -105,6 +111,11 @@ class TestJsonFormat:
         path = tmp_path / "state.json"
         path.write_text("[0.4, 0.36, 0.14, 0.1]")
         assert load_state(str(path)) == load_fixture("eq2")
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_bytes(b"\xef\xbb\xbf[0.5, 0.5]")
+        assert load_state(str(path)) == maximally_entangled(2)
 
     def test_digits_beyond_double_precision_are_kept(self, tmp_path):
         digits = ("0.33333333333333333333", "0.66666666666666666667")
