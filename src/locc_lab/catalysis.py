@@ -56,18 +56,16 @@ def catalyzes(
 
 
 def _descending_compositions(
-    total: int, parts: int, cap: int | None = None
+    total: int, parts: int, cap: int
 ) -> Iterator[tuple[int, ...]]:
     """Non-increasing positive integer tuples of given length summing to
-    `total`, in ascending lexicographic order (flattest first)."""
+    `total`, parts <= `cap`, in ascending lexicographic order (flattest first)."""
     if parts == 1:
-        if cap is None or total <= cap:
+        if total <= cap:
             yield (total,)
         return
     lowest = -(-total // parts)  # ceil: keep room for the non-increasing tail
-    highest = total - (parts - 1)
-    if cap is not None:
-        highest = min(highest, cap)
+    highest = min(total - (parts - 1), cap)
     for first in range(lowest, highest + 1):
         for rest in _descending_compositions(total - first, parts - 1, first):
             yield (first,) + rest
@@ -81,12 +79,12 @@ def grid_candidates(cfg: CatalystSearchConfig) -> Iterator[SchmidtSpectrum]:
     its least denominator."""
     q = cfg.grid_denominator
     for rank in range(cfg.min_dim, cfg.max_dim + 1):
-        for parts in _descending_compositions(q, rank):
+        for parts in _descending_compositions(q, rank, q):
             g = math.gcd(q, *parts)
             runs = tuple(
                 (p // g, len(list(group))) for p, group in itertools.groupby(parts)
             )
-            yield SchmidtSpectrum(q // g, runs, rank)
+            yield SchmidtSpectrum(q // g, runs)
 
 
 def search_catalyst(

@@ -184,12 +184,13 @@ def classify_pair(
     pair whose extreme-coefficient test fails in both directions (both
     extremes of one spectrum strictly below the other's) is strongly
     incomparable: no copy count and no catalyst converts it either way.
-    Otherwise the minimal deterministic copy count is searched, a -> b
-    first and then b -> a (the order is fixed for determinism; at most one
-    direction can ever succeed, since both succeeding would force the
-    spectra to be equal).  Pairs that resolve neither way within k_max
-    copies are honestly reported as undecided: no terminating procedure is
-    known for "incomparable at every k" outside the sufficient condition.
+    Otherwise the minimal deterministic copy count is searched in each
+    direction that no obstruction rules out, a -> b first and then b -> a
+    (the order is fixed for determinism; at most one direction can ever
+    succeed, since both succeeding would force the spectra to be equal).
+    Pairs that resolve neither way within k_max copies are honestly
+    reported as undecided: no terminating procedure is known for
+    "incomparable at every k" outside the sufficient condition.
     """
     if k_max < 1:
         raise InputError(f"k_max must be >= 1, got {k_max}")
@@ -199,20 +200,15 @@ def classify_pair(
     witness = (obstruction(a, b), obstruction(b, a))
     if witness == (Obstruction(), Obstruction()):
         return PairClassification(PairKind.STRONGLY_INCOMPARABLE, witness=witness)
-    n = find_min_deterministic_k(a, b, k_max)
-    if n is not None:
-        return PairClassification(
-            PairKind.K_COPY_INCOMPARABLE,
-            k=n - 1,
-            direction=Comparability.SOURCE_TO_TARGET,
-        )
-    n = find_min_deterministic_k(b, a, k_max)
-    if n is not None:
-        return PairClassification(
-            PairKind.K_COPY_INCOMPARABLE,
-            k=n - 1,
-            direction=Comparability.TARGET_TO_SOURCE,
-        )
+    directions = (
+        (Comparability.SOURCE_TO_TARGET, (a, b)),
+        (Comparability.TARGET_TO_SOURCE, (b, a)),
+    )
+    for (direction, pair), obstructed in zip(directions, witness):
+        if obstructed is None and (n := find_min_deterministic_k(*pair, k_max)):
+            return PairClassification(
+                PairKind.K_COPY_INCOMPARABLE, k=n - 1, direction=direction
+            )
     return PairClassification(PairKind.UNDECIDED, searched_up_to=k_max)
 
 

@@ -12,8 +12,9 @@ from fractions import Fraction
 
 
 def format_rational(x: Fraction) -> str:
-    """num/den with the denominator always spelled out (1 -> "1/1")."""
-    return f"{x.numerator}/{x.denominator}"
+    """num/den with the denominator always spelled out (1 -> "1/1"); each
+    integer goes through `Decimal`, which, unlike `str(int)`, has no digit limit."""
+    return f"{decimal.Decimal(x.numerator)}/{decimal.Decimal(x.denominator)}"
 
 
 def _to_decimal(x: Fraction, significant: int) -> decimal.Decimal:

@@ -12,8 +12,8 @@ stays small while the dense vector explodes.
 
 Tensor products and powers stay in that form: a product step multiplies
 numerators and merges equal ones over the product of the denominators,
-and the n-th power is the (n-1)-th times the base, over D**n.  `entries`
-is the exact `Fraction` view of the runs, for sweeps and rendering.
+and the n-th power is the (n-1)-th times the base, over D**n.  `dim` and
+`entries`, the exact `Fraction` view for sweeps, derive from the runs.
 
 Floating point appears nowhere except `entropy`; every other operation is
 exact, so majorization decisions near ties are decided correctly.
@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
+
+from .render import format_rational
 
 CoefficientLike = Union[Fraction, int, float, str]
 
@@ -47,7 +49,7 @@ class NegativeEntry(InputError):
     def __init__(self, index: int, value: Fraction):
         self.index = index
         self.value = value
-        super().__init__(f"entry {index + 1} is negative: {value}")
+        super().__init__(f"entry {index + 1} is negative: {format_rational(value)}")
 
 
 class SumNotOne(InputError):
@@ -56,7 +58,8 @@ class SumNotOne(InputError):
     def __init__(self, total: Fraction):
         self.total = total
         self.deficit = 1 - total
-        super().__init__(f"probabilities sum to {total}, off by {self.deficit}")
+        total_text, deficit_text = format_rational(total), format_rational(self.deficit)
+        super().__init__(f"probabilities sum to {total_text}, off by {deficit_text}")
 
 
 class MemoryCapExceeded(RuntimeError):
@@ -92,24 +95,22 @@ class SchmidtSpectrum:
     pairs, numerators positive and strictly descending, multiplicities
     positive; the probability n / D occurs m times.  The numerators
     weighted by their multiplicities sum to exactly D, and
-    gcd(D, n_1, ..., n_r) == 1, so equal spectra have equal fields.  dim:
-    total coefficient count including multiplicities, i.e. the Schmidt
-    rank after zero-stripping.
+    gcd(D, n_1, ..., n_r) == 1, so equal spectra have equal fields.
 
     Instances are immutable and safe to share.  The constructor validates
     every invariant above, and every builder in the package goes through
-    it; `make_spectrum` is the usual way in.  `entries`, `largest` and
-    `smallest` are exact `Fraction` views of the runs.
+    it; `make_spectrum` is the usual way in.  Everything else is derived
+    from the runs: `dim` is the Schmidt rank after zero-stripping, and
+    `entries`, `largest` and `smallest` are exact `Fraction` views.
     """
 
     denominator: int
     runs: tuple[tuple[int, int], ...]
-    dim: int
 
     def __post_init__(self):
         if not self.runs:
             raise ValueError("spectrum must have at least one run")
-        total = count = 0
+        total = 0
         previous = None
         for n, mult in self.runs:
             if n < 1:
@@ -120,13 +121,15 @@ class SchmidtSpectrum:
                 raise ValueError("numerators must be strictly descending")
             previous = n
             total += n * mult
-            count += mult
         if total != self.denominator:
             raise ValueError(f"numerators sum to {total}, not to {self.denominator}")
         if math.gcd(self.denominator, *(n for n, _ in self.runs)) != 1:
             raise ValueError(f"denominator {self.denominator} is not the least one")
-        if count != self.dim:
-            raise ValueError(f"dim {self.dim} != sum of multiplicities {count}")
+
+    @cached_property
+    def dim(self) -> int:
+        """Coefficient count including multiplicities; built on first use."""
+        return sum(m for _, m in self.runs)
 
     @cached_property
     def entries(self) -> tuple[tuple[Fraction, int], ...]:
@@ -189,7 +192,7 @@ def make_spectrum(probs: Iterable[CoefficientLike]) -> SchmidtSpectrum:
         ((v.numerator * (denominator // v.denominator), m) for v, m in merged.items()),
         reverse=True,
     ))
-    return SchmidtSpectrum(denominator, runs, sum(merged.values()))
+    return SchmidtSpectrum(denominator, runs)
 
 
 def _product_step(acc: dict[int, int], runs: tuple[tuple[int, int], ...]) -> dict[int, int]:
@@ -205,9 +208,7 @@ def _product_step(acc: dict[int, int], runs: tuple[tuple[int, int], ...]) -> dic
 
 def _from_numerators(acc: dict[int, int], denominator: int) -> SchmidtSpectrum:
     """Spectrum with values n / denominator of multiplicity acc[n]."""
-    return SchmidtSpectrum(
-        denominator, tuple(sorted(acc.items(), reverse=True)), sum(acc.values())
-    )
+    return SchmidtSpectrum(denominator, tuple(sorted(acc.items(), reverse=True)))
 
 
 def _check_power_cap(a: SchmidtSpectrum, k: int, cap: int) -> None:
@@ -255,10 +256,9 @@ def tensor_powers(a: SchmidtSpectrum, k_max: int) -> Iterator[SchmidtSpectrum]:
 
 
 def tensor_power(a: SchmidtSpectrum, k: int) -> SchmidtSpectrum:
-    """Compressed spectrum of k copies of a state.
+    """Compressed spectrum of k copies of a state: the last power that
+    `tensor_powers` yields.
 
-    Multiplies the integer numerators of the base into an accumulator k
-    times, merging equal products after every step, over D**k.
     C(k+m-1, m-1), the number of multisets of k values drawn from the m
     distinct base values, bounds every intermediate and the final
     distinct-entry count; if it exceeds the memory cap (LOCC_LAB_MEM_CAP,
@@ -268,17 +268,17 @@ def tensor_power(a: SchmidtSpectrum, k: int) -> SchmidtSpectrum:
     if k < 1:
         raise InputError(f"copy count must be >= 1, got {k}")
     _check_power_cap(a, k, _memory_cap())
-    acc = {1: 1}
-    for _ in range(k):
-        acc = _product_step(acc, a.runs)
-    return _from_numerators(acc, a.denominator**k)
+    # A plain loop keeps only the latest power alive; unpacking keeps all.
+    for power in tensor_powers(a, k):
+        pass
+    return power
 
 
 def maximally_entangled(d: int) -> SchmidtSpectrum:
     """Uniform spectrum (1/d, ..., 1/d) of rank d."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    return SchmidtSpectrum(d, ((1, d),), d)
+    return SchmidtSpectrum(d, ((1, d),))
 
 
 def entropy(a: SchmidtSpectrum) -> float:

@@ -66,7 +66,8 @@ def _tokens_from_json(source: str, text: str) -> list[tuple[str, None]]:
         data = json.loads(text, parse_float=str, parse_int=str, parse_constant=str)
     except json.JSONDecodeError as exc:
         raise StateFileError(source, f"invalid JSON: {exc.msg}", exc.lineno) from None
-    if not isinstance(data, list) or not data:
+    # Only text that starts with "[" gets here, so data is a list.
+    if not data:
         raise StateFileError(source, "JSON input must be a non-empty list")
     for position, item in enumerate(data, start=1):
         if not isinstance(item, str):

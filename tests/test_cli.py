@@ -2,10 +2,12 @@
 
 import shutil
 import subprocess
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
-from locc_lab import cli, multicopy
+from locc_lab import cli, load_state, multicopy, vidal_pmax
 from locc_lab.cli import main
 
 
@@ -61,6 +63,19 @@ class TestCompare:
         assert code == 0
         assert "Equivalent" in out
 
+    def test_rational_over_4300_digits(self, capsys, tmp_path):
+        big = tmp_path / "big.txt"
+        big.write_text("1\n1e-5000\n")
+        half = tmp_path / "half.txt"
+        half.write_text("0.5\n0.5\n")
+        code, out, err = run(capsys, "compare", str(big), str(half), "--normalize")
+        assert (code, err) == (0, "")
+        line = next(x for x in out.splitlines() if x.startswith("p_max(A->B) = "))
+        # Decimal parses digit strings of any length; int() stops at 4300.
+        num, den = (Fraction(Decimal(t)) for t in line.split(" = ")[1].split("/"))
+        expected = vidal_pmax(load_state(str(big), normalize=True), load_state(str(half)))
+        assert num / den == expected
+
     def test_amplitudes_flag(self, capsys, tmp_path):
         path = tmp_path / "amps.txt"
         path.write_text("0.6\n0.8\n")
@@ -75,10 +90,9 @@ class TestCompare:
 
 class TestClassify:
     def test_single_copy_incomparable(self, capsys):
-        code, out, _ = run(capsys, "classify", "eq2", "eq3")
-        assert code == 0
-        assert "1-copy LOCC incomparable" in out
-        assert "A -> B deterministic at 2 copies" in out
+        for a, b, direction in (("eq2", "eq3", "A -> B"), ("eq3", "eq2", "B -> A")):
+            line = f"1-copy LOCC incomparable ({direction} deterministic at 2 copies)\n"
+            assert run(capsys, "classify", a, b) == (0, line, "")
 
     def test_five_copy_pair(self, capsys):
         code, out, _ = run(capsys, "classify", "eq8", "eq9")
@@ -265,11 +279,33 @@ class TestExitCodes:
          "error: k_max must be >= 1, got 0\n"),
         (["classify", "eq12", "eq13", "--k-max", "0"], None,
          "error: k_max must be >= 1, got 0\n"),
+        (["entropy", "empty.json"], None,
+         "error: empty.json: JSON input must be a non-empty list\n"),
+        (["entropy", "folder"], None,
+         "error: folder: cannot read: [Errno 21] Is a directory: 'folder'\n"),
+        (["entropy", "zeros.txt", "--normalize"], None,
+         "error: zeros.txt: cannot normalize: sum is not positive\n"),
     ])
-    def test_bad_input_exits_2(self, capsys, monkeypatch, argv, env, err):
+    def test_bad_input_exits_2(self, capsys, monkeypatch, tmp_path, argv, env, err):
+        (tmp_path / "empty.json").write_text("[]")
+        (tmp_path / "folder").mkdir()
+        (tmp_path / "zeros.txt").write_text("0\n0\n")
+        monkeypatch.chdir(tmp_path)
         if env is not None:
             monkeypatch.setenv("LOCC_LAB_MEM_CAP", env)
         assert run(capsys, *argv) == (2, "", err)
+
+    def test_rationals_over_4300_digits_in_messages(self, capsys, tmp_path):
+        off = tmp_path / "off.txt"
+        off.write_text("0.5\n1e-5000\n")
+        total = "5" + "0" * 4998 + "1/1" + "0" * 5000
+        deficit = "4" + "9" * 4999 + "/1" + "0" * 5000
+        err = f"error: {off}: probabilities sum to {total}, off by {deficit}\n"
+        assert run(capsys, "entropy", str(off)) == (2, "", err)
+        negative = tmp_path / "negative.txt"
+        negative.write_text("0.5\n0.5\n-1e-5000\n")
+        err = f"error: {negative}:3: entry 3 is negative: -1/1{'0' * 5000}\n"
+        assert run(capsys, "entropy", str(negative)) == (2, "", err)
 
     def test_other_value_errors_propagate(self, capsys, monkeypatch):
         def broken(args):

@@ -18,6 +18,7 @@ from locc_lab import (
     find_min_deterministic_k,
     make_spectrum,
     maximally_entangled,
+    multicopy,
     obstruction,
     pmax_scan,
     vidal_pmax,
@@ -176,6 +177,21 @@ class TestClassifyPair:
         got = classify_pair(cat["eq8"], cat["eq9"], 3)
         assert got.kind is PairKind.UNDECIDED
         assert got.searched_up_to == 3
+
+    def test_searches_only_unobstructed_directions(self, cat, monkeypatch):
+        calls = []
+        search = multicopy.find_min_deterministic_k
+
+        def spy(source, target, k_max):
+            calls.append((source, target))
+            return search(source, target, k_max)
+
+        monkeypatch.setattr(multicopy, "find_min_deterministic_k", spy)
+        classify_pair(cat["eq3"], cat["eq2"], 8)
+        assert calls == [(cat["eq2"], cat["eq3"])]
+        calls.clear()
+        classify_pair(cat["eq12"], cat["eq13"], 8)
+        assert calls == []
 
 
 class TestPmaxMes:

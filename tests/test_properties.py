@@ -176,5 +176,6 @@ def test_trusted_builders_pass_validation(a, b, q):
     built += grid_candidates(CatalystSearchConfig(min_dim=2, max_dim=4, grid_denominator=q))
     built += [a, make_spectrum(b.expand()), maximally_entangled(q)]
     for s in built:
-        assert SchmidtSpectrum(s.denominator, s.runs, s.dim) == s
+        assert SchmidtSpectrum(s.denominator, s.runs) == s
+        assert s.dim == len(s.expand())
         assert make_spectrum(s.expand()) == s

@@ -72,15 +72,19 @@ class TestMakeSpectrum:
             assert make_spectrum(s.expand()) == s
 
     def test_direct_construction_validates(self):
-        assert SchmidtSpectrum(4, ((2, 1), (1, 2)), 3) == make_spectrum(["0.5", "0.25", "0.25"])
-        with pytest.raises(ValueError):
-            SchmidtSpectrum(4, ((1, 2), (2, 1)), 3)  # not descending
-        with pytest.raises(ValueError):
-            SchmidtSpectrum(2, ((1, 2),), 3)  # dim mismatch
-        with pytest.raises(ValueError):
-            SchmidtSpectrum(4, ((2, 2),), 2)  # denominator not the least one
-        with pytest.raises(ValueError):
-            SchmidtSpectrum(4, ((2, 1), (1, 1)), 2)  # numerators sum to 3
+        built = SchmidtSpectrum(4, ((2, 1), (1, 2)))
+        assert built == make_spectrum(["0.5", "0.25", "0.25"])
+        assert built.dim == 3
+        for denominator, runs, message in [
+            (4, ((1, 2), (2, 1)), "strictly descending"),
+            (4, ((2, 2),), "not the least one"),
+            (4, ((2, 1), (1, 1)), "sum to 3"),
+            (1, (), "at least one run"),
+            (1, ((1, 1), (0, 1)), "numerator 0 must be positive"),
+            (1, ((1, 0),), "multiplicity 0 must be positive"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                SchmidtSpectrum(denominator, runs)
 
 
 class TestTensorProduct:
