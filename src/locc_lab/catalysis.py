@@ -43,7 +43,7 @@ class CatalystSearchConfig:
         if self.grid_denominator < self.max_dim:
             raise InputError("grid denominator must be >= the largest rank")
         if self.copies < 1:
-            raise InputError("copies must be >= 1")
+            raise InputError(f"copy count must be >= 1, got {self.copies}")
 
 
 def catalyzes(

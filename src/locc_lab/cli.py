@@ -18,7 +18,7 @@ from .catalysis import CatalystSearchConfig, catalyzes, search_catalyst
 from .majorization import Comparability, compare, vidal_pmax
 from .multicopy import PairKind, classify_pair, obstruction, pmax_scan
 from .render import format_decimal, format_decimal_fixed, format_rational
-from .spectrum import InputError, MemoryCapExceeded, entropy, tensor_power
+from .spectrum import InputError, MemoryCapExceeded, entropy, memory_cap, tensor_power
 from .statefile import load_state
 
 EXIT_OK = 0
@@ -210,6 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        memory_cap()  # a bad setting is bad input for every command
         return args.handler(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

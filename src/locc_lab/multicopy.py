@@ -145,6 +145,14 @@ def obstruction(source: SchmidtSpectrum, target: SchmidtSpectrum) -> Obstruction
     return None
 
 
+def _copies(source: SchmidtSpectrum, target: SchmidtSpectrum, k_max: int):
+    """(n, source^n, target^n) for n = 1..k_max, each power built once.  The
+    range comes first, so zip stops before asking for a power beyond k_max."""
+    return zip(
+        range(1, k_max + 1), tensor_powers(source, k_max), tensor_powers(target, k_max)
+    )
+
+
 def find_min_deterministic_k(
     source: SchmidtSpectrum,
     target: SchmidtSpectrum,
@@ -163,11 +171,7 @@ def find_min_deterministic_k(
         raise InputError(f"k_max must be >= 1, got {k_max}")
     if obstruction(source, target) is not None:
         return None
-    # The range comes first so that zip stops before asking either
-    # generator for a power beyond k_max.
-    for n, powered_source, powered_target in zip(
-        range(1, k_max + 1), tensor_powers(source, k_max), tensor_powers(target, k_max)
-    ):
+    for n, powered_source, powered_target in _copies(source, target, k_max):
         if majorized_by(powered_source, powered_target):
             return n
     return None
@@ -185,7 +189,8 @@ def classify_pair(
     extremes of one spectrum strictly below the other's) is strongly
     incomparable: no copy count and no catalyst converts it either way.
     Otherwise the minimal deterministic copy count is searched in each
-    direction that no obstruction rules out, a -> b first and then b -> a
+    direction that no obstruction rules out, a -> b first and then b -> a,
+    walking from two copies on since `compare` already decided one copy
     (the order is fixed for determinism; at most one direction can ever
     succeed, since both succeeding would force the spectra to be equal).
     Pairs that resolve neither way within k_max copies are honestly
@@ -204,19 +209,17 @@ def classify_pair(
         (Comparability.SOURCE_TO_TARGET, (a, b)),
         (Comparability.TARGET_TO_SOURCE, (b, a)),
     )
-    for (direction, pair), obstructed in zip(directions, witness):
-        if obstructed is None and (n := find_min_deterministic_k(*pair, k_max)):
-            return PairClassification(
-                PairKind.K_COPY_INCOMPARABLE, k=n - 1, direction=direction
-            )
+    unobstructed = (d for d, w in zip(directions, witness) if w is None)
+    for direction, pair in unobstructed:
+        for n, powered_source, powered_target in _copies(*pair, k_max):
+            if n > 1 and majorized_by(powered_source, powered_target):
+                return PairClassification(
+                    PairKind.K_COPY_INCOMPARABLE, k=n - 1, direction=direction
+                )
     return PairClassification(PairKind.UNDECIDED, searched_up_to=k_max)
 
 
-def pmax_scan(
-    source: SchmidtSpectrum,
-    target: SchmidtSpectrum,
-    k_max: int,
-) -> PmaxScan:
+def pmax_scan(source: SchmidtSpectrum, target: SchmidtSpectrum, k_max: int) -> PmaxScan:
     """Optimal conclusive probability for k = 1..k_max copies.
 
     When the padded smallest coefficients satisfy smallest(source) <
@@ -231,9 +234,7 @@ def pmax_scan(
     _, _, ad, bd = _padded_extremes(source, target)
     decay_base = ad / bd if ad < bd else None
     rows = []
-    for k, powered_source, powered_target in zip(
-        range(1, k_max + 1), tensor_powers(source, k_max), tensor_powers(target, k_max)
-    ):
+    for k, powered_source, powered_target in _copies(source, target, k_max):
         p = vidal_pmax(powered_source, powered_target)
         bound = decay_base**k if decay_base is not None else None
         rows.append(PmaxScanRow(k, p, bound))
@@ -264,7 +265,5 @@ def conjecture_scan(
         raise BaselineNotDeterministic(
             f"the {k + 1}-copy conversion is not deterministic"
         )
-    powers = zip(
-        range(1, n_max + 1), tensor_powers(source, n_max), tensor_powers(target, n_max)
-    )
+    powers = _copies(source, target, n_max)
     return tuple((n, majorized_by(x, y)) for n, x, y in powers if n > k + 1)

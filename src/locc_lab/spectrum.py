@@ -73,7 +73,7 @@ class MemoryCapExceeded(RuntimeError):
         )
 
 
-def _memory_cap() -> int:
+def memory_cap() -> int:
     """Distinct-entry cap: LOCC_LAB_MEM_CAP if set, else 2 million."""
     raw = os.environ.get(MEMORY_CAP_ENV_VAR)
     if raw is None:
@@ -230,7 +230,7 @@ def tensor_product(a: SchmidtSpectrum, b: SchmidtSpectrum) -> SchmidtSpectrum:
     Fails up front with MemoryCapExceeded when the number of run pairs,
     which bounds the distinct output entries, exceeds the memory cap.
     """
-    cap = _memory_cap()
+    cap = memory_cap()
     estimated = len(a.runs) * len(b.runs)
     if estimated > cap:
         raise MemoryCapExceeded(estimated, cap)
@@ -247,7 +247,7 @@ def tensor_powers(a: SchmidtSpectrum, k_max: int) -> Iterator[SchmidtSpectrum]:
     (as in `tensor_power`) just before each power is built, so a consumer
     that stops early never trips the cap of a power it did not ask for.
     """
-    cap = _memory_cap()
+    cap = memory_cap()
     acc = {1: 1}
     for n in range(1, k_max + 1):
         _check_power_cap(a, n, cap)
@@ -267,7 +267,7 @@ def tensor_power(a: SchmidtSpectrum, k: int) -> SchmidtSpectrum:
     """
     if k < 1:
         raise InputError(f"copy count must be >= 1, got {k}")
-    _check_power_cap(a, k, _memory_cap())
+    _check_power_cap(a, k, memory_cap())
     # A plain loop keeps only the latest power alive; unpacking keeps all.
     for power in tensor_powers(a, k):
         pass

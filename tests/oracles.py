@@ -6,14 +6,15 @@ and hand the list to `make_spectrum`, and the majorization and Vidal
 checks scan every prefix.  They are deliberately exponential, so the
 power oracle is capped.  `strict_extremes` states directly the strict
 extreme-coefficient pattern that `classify_pair` reports as strong
-incomparability.
+incomparability, and `classify_dense` classifies a pair from these
+oracles alone, deciding every copy count by dense majorization.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-from locc_lab import SchmidtSpectrum, make_spectrum
+from locc_lab import Comparability, PairKind, SchmidtSpectrum, make_spectrum
 
 #: Default cap on dim**k for the dense power oracle.
 DEFAULT_ORACLE_CAP = 10**6
@@ -89,3 +90,30 @@ def strict_extremes(a: SchmidtSpectrum, b: SchmidtSpectrum) -> bool:
     xs += [Fraction(0)] * (top - len(xs))
     ys += [Fraction(0)] * (top - len(ys))
     return (xs[0] < ys[0] and xs[-1] < ys[-1]) or (xs[0] > ys[0] and xs[-1] > ys[-1])
+
+
+
+def _dense_relation(x: SchmidtSpectrum, y: SchmidtSpectrum) -> Comparability | None:
+    """Deterministic direction between x and y by dense majorization, or
+    None when neither converts."""
+    return {
+        (True, True): Comparability.EQUIVALENT,
+        (True, False): Comparability.SOURCE_TO_TARGET,
+        (False, True): Comparability.TARGET_TO_SOURCE,
+        (False, False): None,
+    }[majorized_by_dense(x, y), majorized_by_dense(y, x)]
+
+
+def classify_dense(a: SchmidtSpectrum, b: SchmidtSpectrum, k_max: int) -> tuple:
+    """(kind, direction, k, searched_up_to) as `classify_pair` reports them,
+    with no obstruction test: each copy count n = 1..k_max is decided by
+    dense majorization of the two dense n-fold powers, both ways."""
+    if (relation := _dense_relation(a, b)) is not None:
+        return PairKind.COMPARABLE_SINGLE_COPY, relation, None, None
+    if strict_extremes(a, b):
+        return PairKind.STRONGLY_INCOMPARABLE, None, None, None
+    for n in range(2, k_max + 1):
+        relation = _dense_relation(tensor_power_dense(a, n), tensor_power_dense(b, n))
+        if relation is not None:
+            return PairKind.K_COPY_INCOMPARABLE, relation, n - 1, None
+    return PairKind.UNDECIDED, None, None, k_max

@@ -11,6 +11,10 @@ from locc_lab import cli, load_state, multicopy, vidal_pmax
 from locc_lab.cli import main
 
 
+#: What every command prints for LOCC_LAB_MEM_CAP=abc.
+BAD_CAP = "error: LOCC_LAB_MEM_CAP must be a positive integer, got 'abc'\n"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -89,6 +93,15 @@ class TestCompare:
 
 
 class TestClassify:
+    def test_single_copy_comparable(self, capsys):
+        for a, b, relation in (
+            ("eq4", "eq2", "Comparable: A -> B deterministic"),
+            ("eq2", "eq4", "Comparable: B -> A deterministic"),
+            ("eq3", "eq13", "Equivalent"),
+        ):
+            line = f"Comparable (single copy): {relation}\n"
+            assert run(capsys, "classify", a, b) == (0, line, "")
+
     def test_single_copy_incomparable(self, capsys):
         for a, b, direction in (("eq2", "eq3", "A -> B"), ("eq3", "eq2", "B -> A")):
             line = f"1-copy LOCC incomparable ({direction} deterministic at 2 copies)\n"
@@ -273,8 +286,7 @@ class TestExitCodes:
          "error: copy count must be >= 1, got 0\n"),
         (["catalyst", "eq2", "eq3", "--find", "--grid-q", "3"], None,
          "error: grid denominator must be >= the largest rank\n"),
-        (["classify", "eq2", "eq3"], "abc",
-         "error: LOCC_LAB_MEM_CAP must be a positive integer, got 'abc'\n"),
+        (["classify", "eq2", "eq3"], "abc", BAD_CAP),
         (["classify", "eq3", "eq13", "--k-max", "0"], None,
          "error: k_max must be >= 1, got 0\n"),
         (["classify", "eq12", "eq13", "--k-max", "0"], None,
@@ -285,6 +297,13 @@ class TestExitCodes:
          "error: folder: cannot read: [Errno 21] Is a directory: 'folder'\n"),
         (["entropy", "zeros.txt", "--normalize"], None,
          "error: zeros.txt: cannot normalize: sum is not positive\n"),
+        (["catalyst", "eq2", "eq3", "--find", "--copies", "0"], None,
+         "error: copy count must be >= 1, got 0\n"),
+        (["classify", "eq12", "eq13"], "abc", BAD_CAP),
+        (["classify", "eq2", "eq4"], "abc", BAD_CAP),
+        (["catalyst", "eq12", "eq13", "--find"], "abc", BAD_CAP),
+        (["compare", "eq2", "eq3"], "abc", BAD_CAP),
+        (["entropy", "eq2"], "abc", BAD_CAP),
     ])
     def test_bad_input_exits_2(self, capsys, monkeypatch, tmp_path, argv, env, err):
         (tmp_path / "empty.json").write_text("[]")

@@ -21,6 +21,7 @@ from locc_lab import (
     multicopy,
     obstruction,
     pmax_scan,
+    tensor_power,
     vidal_pmax,
 )
 from conftest import random_spectrum
@@ -178,20 +179,25 @@ class TestClassifyPair:
         assert got.kind is PairKind.UNDECIDED
         assert got.searched_up_to == 3
 
-    def test_searches_only_unobstructed_directions(self, cat, monkeypatch):
-        calls = []
-        search = multicopy.find_min_deterministic_k
+    def test_decides_each_copy_count_once(self, cat, monkeypatch):
+        calls = {"obstruction": [], "majorized_by": [], "tensor_powers": []}
+        for name, log in calls.items():
+            def spy(*args, _original=getattr(multicopy, name), _log=log):
+                _log.append(args)
+                return _original(*args)
 
-        def spy(source, target, k_max):
-            calls.append((source, target))
-            return search(source, target, k_max)
-
-        monkeypatch.setattr(multicopy, "find_min_deterministic_k", spy)
-        classify_pair(cat["eq3"], cat["eq2"], 8)
-        assert calls == [(cat["eq2"], cat["eq3"])]
-        calls.clear()
-        classify_pair(cat["eq12"], cat["eq13"], 8)
-        assert calls == []
+            monkeypatch.setattr(multicopy, name, spy)
+        a, b = cat["eq2"], cat["eq3"]
+        classify_pair(a, b, 8)
+        # compare decided one copy, so the walk starts at two copies
+        assert calls["obstruction"] == [(a, b), (b, a)]
+        assert calls["majorized_by"] == [(tensor_power(a, 2), tensor_power(b, 2))]
+        # obstructed both ways: no direction is walked and no power is built
+        rho = make_spectrum(["0.4", "0.3", "0.3"])
+        for pair in ((cat["eq12"], cat["eq13"]), (cat["eq8"], rho)):
+            calls["tensor_powers"].clear()
+            classify_pair(*pair, 8)
+            assert calls["tensor_powers"] == []
 
 
 class TestPmaxMes:
@@ -292,8 +298,6 @@ def test_exponential_decay_bound_on_random_equal_rank_pairs():
 def test_independent_per_copy_protocol_lower_bound():
     # converting each copy separately succeeds with probability pmax**k,
     # so the collective optimum can never fall below that
-    from locc_lab import tensor_power, vidal_pmax
-
     rng = random.Random(314)
     for _ in range(60):
         a = random_spectrum(rng, max_dim=4)

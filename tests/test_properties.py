@@ -27,6 +27,7 @@ from locc_lab import (
 )
 from locc_lab.spectrum import tensor_powers
 from oracles import (
+    classify_dense,
     majorized_by_dense,
     strict_extremes,
     tensor_power_dense,
@@ -166,6 +167,18 @@ def test_strong_incomparability_is_the_strict_extreme_pattern(a, b):
     if got.kind is PairKind.STRONGLY_INCOMPARABLE:
         assert got.witness == (obstruction(a, b), obstruction(b, a))
         assert got.witness == (Obstruction(), Obstruction())
+
+
+@given(spectra(max_dim=4), spectra(max_dim=4), st.integers(1, 3))
+@example(load_fixture("eq2"), load_fixture("eq3"), 3)  # deterministic at 2 copies
+@example(load_fixture("eq3"), load_fixture("eq2"), 3)  # the same, b -> a
+@example(load_fixture("eq6"), load_fixture("eq7"), 3)  # deterministic at 3 copies
+@example(*POWER_SUM_PAIR, 3)  # obstructed both ways, not strongly incomparable
+def test_classify_pair_matches_dense_oracle(a, b, k_max):
+    got = classify_pair(a, b, k_max)
+    assert (got.kind, got.direction, got.k, got.searched_up_to) == classify_dense(
+        a, b, k_max
+    )
 
 
 @settings(max_examples=50)

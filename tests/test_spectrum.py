@@ -86,6 +86,10 @@ class TestMakeSpectrum:
             with pytest.raises(ValueError, match=message):
                 SchmidtSpectrum(denominator, runs)
 
+    def test_repr_shows_rank_and_runs(self):
+        built = make_spectrum(["0.5", "0.25", "0.25"])
+        assert repr(built) == "SchmidtSpectrum(dim=3: 1/2x1, 1/4x2)"
+
 
 class TestTensorProduct:
     def test_uniform_times_uniform(self):
@@ -212,6 +216,10 @@ class TestMaximallyEntangled:
 
     def test_rank_one(self):
         assert maximally_entangled(1).entries == ((F(1), 1),)
+
+    def test_rank_zero(self):
+        with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
+            maximally_entangled(0)
 
     def test_entropy_is_log2_dim(self):
         assert entropy(maximally_entangled(4)) == 2.0
