@@ -61,7 +61,8 @@ def _cmd_classify(args) -> int:
         op = "<" if a.largest < b.largest else ">"
         print(
             f"Strongly incomparable (largest(A) {op} largest(B) "
-            f"and smallest(A) {op} smallest(B))"
+            f"and smallest(A) {op} smallest(B), "
+            f"both zero-padded to rank {max(a.dim, b.dim)})"
         )
     elif result.kind is PairKind.K_COPY_INCOMPARABLE:
         direction = (

@@ -88,12 +88,11 @@ def vidal_pmax(source: SchmidtSpectrum, target: SchmidtSpectrum) -> Fraction:
     because the ratio of two affine functions is monotone between
     breakpoints; only those positions are evaluated.  The result is exact.
     """
-    if source.dim < target.dim:
+    rank = target.dim
+    if source.dim < rank:
         return Fraction(0)
-    # target.dim - 1 is the largest prefix length with a positive target tail
-    return min(
-        (1 - ss) / (1 - st) for ss, st in _prefix_sums(source, target, target.dim - 1)
-    )
+    # rank - 1 is the largest prefix length with a positive target tail
+    return min((1 - ss) / (1 - st) for ss, st in _prefix_sums(source, target, rank - 1))
 
 
 def compare(a: SchmidtSpectrum, b: SchmidtSpectrum) -> Comparability:

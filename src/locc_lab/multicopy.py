@@ -105,9 +105,9 @@ def _padded_extremes(
 ) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """(a1, b1, ad, bd): largest and smallest coefficients of both spectra,
     the smaller-rank spectrum zero-padded to the common dimension."""
-    top = max(a.dim, b.dim)
-    ad = a.smallest if a.dim == top else Fraction(0)
-    bd = b.smallest if b.dim == top else Fraction(0)
+    da, db = a.dim, b.dim
+    ad = a.smallest if da >= db else Fraction(0)
+    bd = b.smallest if db >= da else Fraction(0)
     return a.largest, b.largest, ad, bd
 
 

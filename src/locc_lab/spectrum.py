@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
@@ -87,7 +86,7 @@ def memory_cap() -> int:
     return cap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SchmidtSpectrum:
     """Compressed Schmidt spectrum in integer form.
 
@@ -99,8 +98,9 @@ class SchmidtSpectrum:
 
     Instances are immutable and safe to share.  The constructor validates
     every invariant above, and every builder in the package goes through
-    it; `make_spectrum` is the usual way in.  Everything else is derived
-    from the runs: `dim` is the Schmidt rank after zero-stripping, and
+    it; `make_spectrum` is the usual way in.  An instance is exactly its
+    two fields; every view is computed from them on each read and nothing
+    is cached: `dim` is the Schmidt rank after zero-stripping, and
     `entries`, `largest` and `smallest` are exact `Fraction` views.
     """
 
@@ -126,15 +126,14 @@ class SchmidtSpectrum:
         if math.gcd(self.denominator, *(n for n, _ in self.runs)) != 1:
             raise ValueError(f"denominator {self.denominator} is not the least one")
 
-    @cached_property
+    @property
     def dim(self) -> int:
-        """Coefficient count including multiplicities; built on first use."""
+        """Coefficient count including multiplicities."""
         return sum(m for _, m in self.runs)
 
-    @cached_property
+    @property
     def entries(self) -> tuple[tuple[Fraction, int], ...]:
-        """(value, multiplicity) runs, values strictly descending; built on
-        first use and kept."""
+        """(value, multiplicity) runs, values strictly descending."""
         # A list, not a generator: tuple() of a generator starts from a
         # size-10 tuple and resizes it, so the free lists of the final sizes
         # are never drawn from and keep filling (+1.9 MiB peak RSS measured
@@ -144,11 +143,11 @@ class SchmidtSpectrum:
 
     @property
     def largest(self) -> Fraction:
-        return self.entries[0][0]
+        return Fraction(self.runs[0][0], self.denominator)
 
     @property
     def smallest(self) -> Fraction:
-        return self.entries[-1][0]
+        return Fraction(self.runs[-1][0], self.denominator)
 
     def expand(self) -> tuple[Fraction, ...]:
         """Dense descending value list, each value repeated by multiplicity."""

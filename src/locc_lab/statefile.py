@@ -113,6 +113,19 @@ def load_state(
     tokens = read_state(path_or_name)
     values = []
     for position, (token, line) in enumerate(tokens, start=1):
+        # Fraction("1e-N") builds 10**N, so a 13-byte token could run for
+        # hours: bound the exponent as the decimal module's default context
+        # does.  A malformed exponent is left for Fraction to report.
+        _, e, exponent = token.lower().rpartition("e")
+        try:
+            exponent = int(exponent) if e else 0
+        except ValueError:
+            exponent = 0
+        if abs(exponent) > 999_999:
+            message = f"exponent {exponent} exceeds 999999 in magnitude"
+            raise StateFileError(
+                path_or_name, f"cannot parse entry {position} {token!r}: {message}", line
+            )
         try:
             value = Fraction(token)
         except (ValueError, ZeroDivisionError) as exc:

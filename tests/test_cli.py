@@ -119,10 +119,15 @@ class TestClassify:
         assert "Strongly incomparable" in out
         assert "largest(A) < largest(B)" in out
 
-    def test_strongly_incomparable_lines_in_both_orders(self, capsys):
-        for a, b, op in (("eq12", "eq13", "<"), ("eq13", "eq12", ">")):
+    def test_strongly_incomparable_lines_in_both_orders(self, capsys, tmp_path):
+        # Ranks 2 and 3: .5 .5 pads to .5 .5 0, whose smallest is below .1.
+        (tmp_path / "half.txt").write_text(".5\n.5\n")
+        (tmp_path / "skew.txt").write_text(".6\n.3\n.1\n")
+        half, skew = str(tmp_path / "half.txt"), str(tmp_path / "skew.txt")
+        for a, b, op in (("eq12", "eq13", "<"), ("eq13", "eq12", ">"),
+                         (half, skew, "<"), (skew, half, ">")):
             line = (f"Strongly incomparable (largest(A) {op} largest(B) "
-                    f"and smallest(A) {op} smallest(B))\n")
+                    f"and smallest(A) {op} smallest(B), both zero-padded to rank 3)\n")
             assert run(capsys, "classify", a, b) == (0, line, "")
 
     def test_undecided_within_budget(self, capsys):
@@ -304,9 +309,17 @@ class TestExitCodes:
         (["catalyst", "eq12", "eq13", "--find"], "abc", BAD_CAP),
         (["compare", "eq2", "eq3"], "abc", BAD_CAP),
         (["entropy", "eq2"], "abc", BAD_CAP),
+        (["entropy", "tiny.txt", "--normalize"], None,
+         "error: tiny.txt:3: cannot parse entry 2 '1e-1000000': "
+         "exponent -1000000 exceeds 999999 in magnitude\n"),
+        (["entropy", "tiny.json", "--normalize"], None,
+         "error: tiny.json: cannot parse entry 2 '1e-1000000': "
+         "exponent -1000000 exceeds 999999 in magnitude\n"),
     ])
     def test_bad_input_exits_2(self, capsys, monkeypatch, tmp_path, argv, env, err):
         (tmp_path / "empty.json").write_text("[]")
+        (tmp_path / "tiny.txt").write_text("# tiny\n1\n1e-1000000\n")
+        (tmp_path / "tiny.json").write_text("[1, 1e-1000000]")
         (tmp_path / "folder").mkdir()
         (tmp_path / "zeros.txt").write_text("0\n0\n")
         monkeypatch.chdir(tmp_path)

@@ -192,3 +192,6 @@ def test_trusted_builders_pass_validation(a, b, q):
         assert SchmidtSpectrum(s.denominator, s.runs) == s
         assert s.dim == len(s.expand())
         assert make_spectrum(s.expand()) == s
+        assert s.largest == s.expand()[0]
+        assert s.smallest == s.expand()[-1]
+        assert s.entries == tuple((Fraction(n, s.denominator), m) for n, m in s.runs)

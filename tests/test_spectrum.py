@@ -90,6 +90,13 @@ class TestMakeSpectrum:
         built = make_spectrum(["0.5", "0.25", "0.25"])
         assert repr(built) == "SchmidtSpectrum(dim=3: 1/2x1, 1/4x2)"
 
+    def test_holds_exactly_its_two_fields(self):
+        # Every view is computed on read; no instance keeps a second copy.
+        built = make_spectrum(["0.5", "0.25", "0.25"])
+        assert SchmidtSpectrum.__slots__ == ("denominator", "runs")
+        with pytest.raises(TypeError):
+            vars(built)
+
 
 class TestTensorProduct:
     def test_uniform_times_uniform(self):
