@@ -7,18 +7,23 @@ a conclusive (exact, probabilistic) conversion is Vidal's minimum of
 tail-sum ratios.
 
 Both checks read the prefix sums of the two spectra from one sweep that
-walks their run lists side by side and stops only at *breakpoints* -
-prefix positions where either compressed spectrum's active distinct value
-changes.  Between breakpoints the prefix-sum difference is affine in the
-prefix length and a ratio of two affine tails is monotone, so the extrema
-live at the segment endpoints.  This keeps the cost proportional to the
-number of distinct values rather than the full (possibly exponential)
-dimension.  The tests cross-validate the sweep exactly against dense
-per-prefix scans.
+walks their integer run lists side by side and stops only at
+*breakpoints* - prefix positions where either compressed spectrum's
+active distinct value changes.  Between breakpoints the prefix-sum
+difference is affine in the prefix length and a ratio of two affine tails
+is monotone, so the extrema live at the segment endpoints.  This keeps the
+cost proportional to the number of distinct values rather than the full
+(possibly exponential) dimension.
+
+The prefix sums are integer numerators, each over its own spectrum's
+denominator.  Majorization compares them by cross-multiplying and builds
+no `Fraction`; Vidal's minimum keeps each tail ratio an exact `Fraction`.
+The tests cross-validate the sweep exactly against dense per-prefix scans.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator
@@ -36,19 +41,20 @@ class Comparability(Enum):
 
 
 def _prefix_sums(
-    x: SchmidtSpectrum, y: SchmidtSpectrum, stop: int
-) -> Iterator[tuple[Fraction, Fraction]]:
+    x: SchmidtSpectrum, y: SchmidtSpectrum, stop: float = math.inf
+) -> Iterator[tuple[int, int]]:
     """(Sx(n), Sy(n)) at n = 0, at every run boundary of x or y below stop,
     and at stop, in increasing n; S(n) is the sum of the n largest
-    coefficients, with a spectrum zero-padded past its rank."""
-    runs_x, runs_y = iter(x.entries), iter(y.entries)
-    padding = (Fraction(0), stop)
+    coefficients as an integer numerator over that spectrum's own
+    denominator, with a spectrum zero-padded past its rank.  Without a
+    stop the sweep ends where both run lists are exhausted."""
+    runs_x, runs_y = iter(x.runs), iter(y.runs)
+    padding = (0, math.inf)
     vx, left_x = next(runs_x)
     vy, left_y = next(runs_y)
-    sx = sy = Fraction(0)
-    n = 0
+    sx = sy = n = 0
     yield sx, sy
-    while n < stop:
+    while n < stop and (vx or vy):
         step = min(left_x, left_y, stop - n)
         n += step
         sx += vx * step
@@ -68,9 +74,11 @@ def majorized_by(x: SchmidtSpectrum, y: SchmidtSpectrum) -> bool:
     Ranks may differ; the shorter spectrum is implicitly zero-padded.  Only
     breakpoints are inspected: the prefix-sum difference is piecewise
     linear in the prefix length, so checking both endpoints of every
-    linear segment decides all intermediate positions too.
+    linear segment decides all intermediate positions too.  Each check
+    Sx/Dx <= Sy/Dy is made on the integer numerators as Sx*Dy <= Sy*Dx.
     """
-    return all(sx <= sy for sx, sy in _prefix_sums(x, y, max(x.dim, y.dim)))
+    dx, dy = x.denominator, y.denominator
+    return all(sx * dy <= sy * dx for sx, sy in _prefix_sums(x, y))
 
 
 def vidal_pmax(source: SchmidtSpectrum, target: SchmidtSpectrum) -> Fraction:
@@ -91,8 +99,12 @@ def vidal_pmax(source: SchmidtSpectrum, target: SchmidtSpectrum) -> Fraction:
     rank = target.dim
     if source.dim < rank:
         return Fraction(0)
+    ds, dt = source.denominator, target.denominator
     # rank - 1 is the largest prefix length with a positive target tail
-    return min((1 - ss) / (1 - st) for ss, st in _prefix_sums(source, target, rank - 1))
+    return min(
+        (1 - Fraction(ss, ds)) / (1 - Fraction(st, dt))
+        for ss, st in _prefix_sums(source, target, rank - 1)
+    )
 
 
 def compare(a: SchmidtSpectrum, b: SchmidtSpectrum) -> Comparability:

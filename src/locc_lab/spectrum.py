@@ -13,7 +13,8 @@ stays small while the dense vector explodes.
 Tensor products and powers stay in that form: a product step multiplies
 numerators and merges equal ones over the product of the denominators,
 and the n-th power is the (n-1)-th times the base, over D**n.  `dim` and
-`entries`, the exact `Fraction` view for sweeps, derive from the runs.
+`entries`, the exact `Fraction` view, derive from the runs; the
+majorization sweeps read the runs themselves.
 
 Floating point appears nowhere except `entropy`; every other operation is
 exact, so majorization decisions near ties are decided correctly.
@@ -245,10 +246,14 @@ def tensor_powers(a: SchmidtSpectrum, k_max: int) -> Iterator[SchmidtSpectrum]:
     over copy counts pays for each power once.  The memory cap is checked
     (as in `tensor_power`) just before each power is built, so a consumer
     that stops early never trips the cap of a power it did not ask for.
+    The first power is `a` itself.
     """
     cap = memory_cap()
-    acc = {1: 1}
-    for n in range(1, k_max + 1):
+    if k_max >= 1:
+        _check_power_cap(a, 1, cap)
+        yield a
+    acc = dict(a.runs)
+    for n in range(2, k_max + 1):
         _check_power_cap(a, n, cap)
         acc = _product_step(acc, a.runs)
         yield _from_numerators(acc, a.denominator**n)

@@ -3,8 +3,12 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from locc_lab import (
     Comparability,
+    SchmidtSpectrum,
+    catalyzes,
     compare,
     majorized_by,
     make_spectrum,
@@ -148,6 +152,38 @@ class TestVidalPmax:
             a = random_spectrum(rng, max_dim=6)
             b = random_spectrum(rng, max_dim=6)
             assert (vidal_pmax(a, b) == 1) == majorized_by(a, b)
+
+
+def _unreadable(name):
+    def read(self):
+        raise AssertionError(f"SchmidtSpectrum.{name} was read")
+
+    return property(read)
+
+
+class TestIntegerSweep:
+    """The sweeps read the integer runs: majorization never builds the
+    `Fraction` view `entries` nor sums `dim`, and Vidal's sweep never
+    builds `entries`."""
+
+    PAIRS = (("eq2", "eq3"), ("eq4", "eq5"), ("eq6", "eq7"), ("eq8", "eq9"), ("eq12", "eq13"))
+
+    def test_majorization_reads_only_the_runs(self, cat, monkeypatch):
+        pairs = [(cat[a], cat[b]) for a, b in self.PAIRS]
+        expected = [(majorized_by_dense(x, y), majorized_by_dense(y, x)) for x, y in pairs]
+        monkeypatch.setattr(SchmidtSpectrum, "entries", _unreadable("entries"))
+        monkeypatch.setattr(SchmidtSpectrum, "dim", _unreadable("dim"))
+        assert [(majorized_by(x, y), majorized_by(y, x)) for x, y in pairs] == expected
+        assert catalyzes(cat["eq2"], cat["eq3"], cat["chi"])
+        assert not catalyzes(cat["eq12"], cat["eq13"], cat["chi"])
+        with pytest.raises(AssertionError, match="dim"):
+            cat["eq2"].dim
+
+    def test_vidal_reads_no_fractions(self, cat, monkeypatch):
+        pairs = [(cat[a], cat[b]) for a, b in self.PAIRS]
+        expected = [(vidal_pmax_dense(x, y), vidal_pmax_dense(y, x)) for x, y in pairs]
+        monkeypatch.setattr(SchmidtSpectrum, "entries", _unreadable("entries"))
+        assert [(vidal_pmax(x, y), vidal_pmax(y, x)) for x, y in pairs] == expected
 
 
 class TestCompare:

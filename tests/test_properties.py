@@ -97,6 +97,21 @@ def test_vidal_breakpoints_match_dense(a, b):
     assert vidal_pmax(a, b) == vidal_pmax_dense(a, b)
 
 
+@settings(max_examples=50)
+@given(
+    spectra(max_weight=10**6), spectra(max_weight=10**6), st.integers(1, 3)
+)
+@example(load_fixture("eq6"), load_fixture("eq7"), 3)  # deterministic at 3 copies
+@example(maximally_entangled(5), load_fixture("eq7"), 2)
+def test_integer_sweeps_match_dense_on_large_weights_and_unequal_ranks(a, b, k):
+    assume(a.dim != b.dim)
+    x, y = tensor_power(a, k), tensor_power(b, k)
+    assert majorized_by(x, y) == majorized_by_dense(x, y)
+    assert majorized_by(y, x) == majorized_by_dense(y, x)
+    assert vidal_pmax(x, y) == vidal_pmax_dense(x, y)
+    assert vidal_pmax(y, x) == vidal_pmax_dense(y, x)
+
+
 @given(spectra())
 def test_majorization_reflexive(s):
     assert majorized_by(s, s)

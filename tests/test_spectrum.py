@@ -20,6 +20,7 @@ from locc_lab import (
     tensor_power,
     tensor_product,
 )
+from locc_lab.spectrum import tensor_powers
 from conftest import random_spectrum
 from oracles import OracleCapExceeded, tensor_power_dense
 
@@ -157,6 +158,12 @@ class TestTensorPower:
     def test_invalid_copy_count(self, cat):
         with pytest.raises(InputError, match="copy count must be >= 1, got 0"):
             tensor_power(cat["eq2"], 0)
+
+    def test_one_copy_is_the_input(self, cat):
+        a = cat["eq2"]
+        assert tensor_power(a, 1) is a
+        assert next(tensor_powers(a, 3)) is a
+        assert list(tensor_powers(a, 0)) == []
 
     def test_memory_cap(self, cat, monkeypatch):
         monkeypatch.setenv("LOCC_LAB_MEM_CAP", "5")

@@ -1,6 +1,8 @@
 """State-file parsing, the bundled catalog, and decimal rendering."""
 
+import decimal
 import hashlib
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -210,6 +212,14 @@ class TestRendering:
     def test_rational_always_shows_denominator(self):
         assert format_rational(F(1)) == "1/1"
         assert format_rational(F(24, 25)) == "24/25"
+
+    def test_huge_rationals_render_exactly(self):
+        assert format_rational(F(10**200000 + 1, 3)) == "1" + "0" * 199999 + "1/3"
+        rng = random.Random(20000)
+        for _ in range(5):
+            n = rng.randrange(-(10**20000), 10**20000)
+            assert format_rational(F(n)) == f"{decimal.Decimal(n)}/1"
+        assert format_decimal_fixed(F(10**20000 + 1, 10**20000)) == "1.00000000000000"
 
     def test_decimal_strips_trailing_zeros(self):
         assert format_decimal(F(24, 25)) == "0.96"
